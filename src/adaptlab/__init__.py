@@ -5,126 +5,45 @@ multi-hop sensor network; options predicted under a cutoff are verified by
 statistical model checking; the best verified option is selected; and a
 closed-form bound on the selection's decision error — with its confidence —
 is computed and checked against the simulator's analytic ground truth.
+
+The package root re-exports the entry points; everything else is imported
+from its module (``adaptlab.bounds``, ``adaptlab.netsim``, ...).
 """
 
 from .bounds import (
-    DecisionErrorBound,
-    Goal,
-    LearnerCapacity,
     QualityDomain,
     RiskBoundInputs,
-    adjusted_risk_margin,
-    bound_confidence,
-    count_feasible,
     decision_error_bound,
     prob_any_feasible_retained,
     reduction_survival_prob,
-    risk_margin,
-    vc_confidence_term,
     vc_dimension_linear,
 )
-from .engine import (
-    AdaptationEngine,
-    CutoffRule,
-    CycleRecord,
-    EngineConfig,
-    cutoff,
-    reduce_options,
-    run_experiment,
-)
-from .netsim import (
-    AdaptationOption,
-    Environment,
-    EnvironmentWalk,
-    Link,
-    LinkParams,
-    Mote,
-    NetworkModel,
-    NetworkTopology,
-    TOPOLOGY_PRESETS,
-    desk_topology,
-    enumerate_options,
-    environment_step,
-    feature_dim,
-    features,
-    full_topology,
-    initial_environment,
-    link_delivery_prob,
-    option_from_id,
-    option_id_for,
-    simulate_run,
-    true_expected_loss,
-)
-from .regression import LabeledSample, LinearModel, empirical_risk, fit, predict, predict_batch, retrain
-from .smc import (
-    BernoulliModel,
-    SmcConfig,
-    SmcEstimate,
-    StochasticModel,
-    coverage_experiment,
-    estimate,
-    required_samples,
-    verify_options,
-)
+from .engine import EngineConfig, cutoff, run_experiment
+from .netsim import Environment, NetworkModel, desk_topology, option_from_id, true_expected_loss
+from .regression import LabeledSample, empirical_risk, fit
+from .smc import SmcConfig, coverage_experiment, required_samples
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptationEngine",
-    "AdaptationOption",
-    "BernoulliModel",
-    "CutoffRule",
-    "CycleRecord",
-    "DecisionErrorBound",
     "EngineConfig",
     "Environment",
-    "EnvironmentWalk",
-    "Goal",
     "LabeledSample",
-    "LearnerCapacity",
-    "LinearModel",
-    "Link",
-    "LinkParams",
-    "Mote",
     "NetworkModel",
-    "NetworkTopology",
     "QualityDomain",
     "RiskBoundInputs",
     "SmcConfig",
-    "SmcEstimate",
-    "StochasticModel",
-    "TOPOLOGY_PRESETS",
-    "adjusted_risk_margin",
-    "bound_confidence",
-    "count_feasible",
     "coverage_experiment",
     "cutoff",
     "decision_error_bound",
     "desk_topology",
     "empirical_risk",
-    "enumerate_options",
-    "environment_step",
-    "estimate",
-    "feature_dim",
-    "features",
     "fit",
-    "full_topology",
-    "initial_environment",
-    "link_delivery_prob",
     "option_from_id",
-    "option_id_for",
-    "predict",
-    "predict_batch",
     "prob_any_feasible_retained",
-    "reduce_options",
     "reduction_survival_prob",
     "required_samples",
-    "retrain",
-    "risk_margin",
     "run_experiment",
-    "simulate_run",
     "true_expected_loss",
-    "vc_confidence_term",
     "vc_dimension_linear",
-    "verify_options",
 ]

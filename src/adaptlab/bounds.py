@@ -43,13 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-
-
-class Goal(Enum):
-    """Direction of the quality objective. Only minimization is supported."""
-
-    MINIMIZE = "minimize"
 
 
 @dataclass(frozen=True)
@@ -64,7 +57,6 @@ class QualityDomain:
 
     lower: float
     upper: float
-    goal: Goal = Goal.MINIMIZE
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
@@ -85,18 +77,6 @@ class QualityDomain:
     def loss_slope_bound(self) -> float:
         """Bound on |d loss / d target| over the domain: 2*(upper - lower)."""
         return 2.0 * self.width
-
-
-@dataclass(frozen=True)
-class LearnerCapacity:
-    """Input dimension and VC dimension of the hypothesis class in use."""
-
-    input_dim: int
-    vc_dim: int
-
-    @classmethod
-    def linear(cls, input_dim: int) -> "LearnerCapacity":
-        return cls(input_dim=input_dim, vc_dim=vc_dimension_linear(input_dim))
 
 
 @dataclass(frozen=True)
@@ -196,6 +176,22 @@ def adjusted_risk_margin(margin: float, domain: QualityDomain, kappa: float) -> 
     return margin + domain.loss_slope_bound * kappa
 
 
+def expected_risk_terms(inputs: RiskBoundInputs, domain: QualityDomain) -> tuple[float, float, float, float]:
+    """The chain nu -> margin -> adjusted margin -> expected-risk upper.
+
+    Returns ``(confidence_term, risk_margin, adjusted_risk_margin,
+    expected_risk_upper)``, the last being empirical_risk + adjusted margin.
+    """
+    if inputs.empirical_risk > domain.loss_upper:
+        raise ValueError(
+            f"empirical_risk {inputs.empirical_risk} exceeds the domain's loss bound {domain.loss_upper}"
+        )
+    nu = vc_confidence_term(inputs.m, inputs.vc_dim, inputs.eta)
+    margin = risk_margin(domain, nu)
+    adjusted = adjusted_risk_margin(margin, domain, inputs.kappa)
+    return nu, margin, adjusted, inputs.empirical_risk + adjusted
+
+
 def reduction_survival_prob(cutoff: float, best_prediction: float, expected_risk_upper: float) -> float:
     """Probability a feasible option's prediction lands inside the reduced space.
 
@@ -281,14 +277,7 @@ def decision_error_bound(
     Returns:
         A :class:`DecisionErrorBound` with every intermediate term filled in.
     """
-    if inputs.empirical_risk > domain.loss_upper:
-        raise ValueError(
-            f"empirical_risk {inputs.empirical_risk} exceeds the domain's loss bound {domain.loss_upper}"
-        )
-    nu = vc_confidence_term(inputs.m, inputs.vc_dim, inputs.eta)
-    margin = risk_margin(domain, nu)
-    adjusted = adjusted_risk_margin(margin, domain, inputs.kappa)
-    risk_upper = inputs.empirical_risk + adjusted
+    nu, margin, adjusted, risk_upper = expected_risk_terms(inputs, domain)
     survival = reduction_survival_prob(cutoff, best_prediction, risk_upper)
     return DecisionErrorBound(
         confidence_term=nu,

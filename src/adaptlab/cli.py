@@ -17,21 +17,17 @@ self-test failure, 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from functools import partial
 
-from .bounds import (
-    DecisionErrorBound,
-    Goal,
-    QualityDomain,
-    RiskBoundInputs,
-    decision_error_bound,
-)
-from .engine import CycleRecord, EngineConfig, run_experiment
+from .bounds import DecisionErrorBound, QualityDomain, RiskBoundInputs, decision_error_bound
+from .engine import LOSS_DOMAIN, CycleRecord, EngineConfig, run_experiment
 from .netsim import TOPOLOGY_PRESETS, EnvironmentWalk
 from .smc import SmcConfig, coverage_experiment
 
@@ -46,6 +42,10 @@ def _sig(value: float) -> float:
     return float(format(value, ".12g"))
 
 
+def _sig_floats(report: dict) -> dict:
+    return {k: (_sig(v) if isinstance(v, float) else v) for k, v in report.items()}
+
+
 def _cell(value: float | None) -> str:
     return "" if value is None else format(value, ".12g")
 
@@ -54,22 +54,11 @@ def _cell(value: float | None) -> str:
 
 
 def _bound_as_dict(bound: DecisionErrorBound) -> dict:
-    return {
-        "confidence_term": _sig(bound.confidence_term),
-        "risk_margin": _sig(bound.risk_margin),
-        "adjusted_risk_margin": _sig(bound.adjusted_risk_margin),
-        "expected_risk_upper": _sig(bound.expected_risk_upper),
-        "survival_prob": _sig(bound.survival_prob),
-        "n_feasible": bound.n_feasible,
-        "best_prediction": _sig(bound.best_prediction),
-        "cutoff": _sig(bound.cutoff),
-        "error_bound": _sig(bound.error_bound),
-        "min_probability": _sig(bound.min_probability),
-    }
+    return _sig_floats(asdict(bound))
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    domain = QualityDomain(lower=args.l_q, upper=args.u_q, goal=Goal.MINIMIZE)
+    domain = QualityDomain(lower=args.l_q, upper=args.u_q)
     inputs = RiskBoundInputs(
         m=args.m,
         vc_dim=args.d,
@@ -98,23 +87,45 @@ class ExperimentSpec:
     walk: EnvironmentWalk
 
 
-_TOP_KEYS = {"topology", "seed", "output_csv", "output_summary", "engine", "smc", "walk"}
-_ENGINE_KEYS = {"warmup_cycles", "total_cycles", "eta", "evaluation_mode", "window_factor", "workers"}
-_SMC_KEYS = {"epsilon", "alpha", "kappa_scale"}
-_WALK_KEYS = {"interference_step", "load_step", "interference_min", "interference_max", "load_min", "load_max"}
+# JSON values a config field accepts, by the type of the field's default.
+_ACCEPTED = {int: (int,), float: (int, float), bool: (bool,)}
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "a boolean"}
 
 
-def _check_keys(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
+def section_defaults(cls: type) -> dict:
+    """Keys of the config section that builds ``cls``, with their defaults:
+    every field with a scalar default (the nested ``EngineConfig.smc`` has
+    its own section)."""
+    return {f.name: f.default for f in fields(cls) if type(f.default) in _ACCEPTED}
+
+
+def _check_keys(section: dict, allowed, where: str) -> None:
+    unknown = set(section) - set(allowed)
     if unknown:
         raise ValueError(f"unknown {where} keys: {', '.join(sorted(unknown))}")
 
 
-def _as_int(section: dict, key: str, where: str) -> dict:
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{where}.{key} must be an integer")
-    return section
+def _field_value(value, default, where: str):
+    kind = type(default)
+    # type() rather than isinstance(): a JSON bool is not a number here
+    if type(value) not in _ACCEPTED[kind] or (kind is float and not abs(value) <= sys.float_info.max):
+        raise ValueError(f"{where} must be {_KIND_NAMES[kind]}")
+    return kind(value)
+
+
+def _section(data: dict, name: str, cls: type, **nested):
+    section = data.get(name, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"{name} section must be an object")
+    defaults = section_defaults(cls)
+    _check_keys(section, defaults, name)
+    return cls(**{k: _field_value(v, defaults[k], f"{name}.{k}") for k, v in section.items()}, **nested)
+
+
+def _required(data: dict, key: str):
+    if key not in data:
+        raise ValueError(f"config is missing required key: {key}")
+    return data[key]
 
 
 def load_experiment_config(path: str) -> ExperimentSpec:
@@ -127,73 +138,28 @@ def load_experiment_config(path: str) -> ExperimentSpec:
         raise ValueError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError("config root must be a JSON object")
-    _check_keys(data, _TOP_KEYS, "config")
+    _check_keys(data, [f.name for f in fields(ExperimentSpec)] + ["smc"], "config")
 
-    for key in ("topology", "seed", "output_csv"):
-        if key not in data:
-            raise ValueError(f"config is missing required key: {key}")
-    topology = data["topology"]
-    if topology not in TOPOLOGY_PRESETS:
+    topology = _required(data, "topology")
+    if not isinstance(topology, str) or topology not in TOPOLOGY_PRESETS:
         raise ValueError(f"unknown topology preset: {topology!r} (choose from {sorted(TOPOLOGY_PRESETS)})")
-    seed = data["seed"]
+    seed = _required(data, "seed")
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise ValueError("seed must be an integer in [0, 2^64)")
-    output_csv = data["output_csv"]
+    output_csv = _required(data, "output_csv")
     if not isinstance(output_csv, str) or not output_csv:
         raise ValueError("output_csv must be a nonempty path string")
     output_summary = data.get("output_summary")
     if output_summary is not None and (not isinstance(output_summary, str) or not output_summary):
         raise ValueError("output_summary must be a nonempty path string when given")
 
-    smc_section = data.get("smc", {})
-    if not isinstance(smc_section, dict):
-        raise ValueError("smc section must be an object")
-    _check_keys(smc_section, _SMC_KEYS, "smc")
-    smc = SmcConfig(
-        epsilon=float(smc_section.get("epsilon", 0.01)),
-        alpha=float(smc_section.get("alpha", 0.1)),
-        kappa_scale=float(smc_section.get("kappa_scale", 100.0)),
-    )
-
-    engine_section = data.get("engine", {})
-    if not isinstance(engine_section, dict):
-        raise ValueError("engine section must be an object")
-    _check_keys(engine_section, _ENGINE_KEYS, "engine")
-    for key in ("warmup_cycles", "total_cycles", "window_factor", "workers"):
-        if key in engine_section:
-            _as_int(engine_section, key, "engine")
-    if "evaluation_mode" in engine_section and not isinstance(engine_section["evaluation_mode"], bool):
-        raise ValueError("engine.evaluation_mode must be a boolean")
-    engine = EngineConfig(
-        warmup_cycles=engine_section.get("warmup_cycles", 30),
-        total_cycles=engine_section.get("total_cycles", 200),
-        eta=float(engine_section.get("eta", 0.05)),
-        smc=smc,
-        evaluation_mode=engine_section.get("evaluation_mode", True),
-        window_factor=engine_section.get("window_factor", 10),
-        workers=engine_section.get("workers", 1),
-    )
-
-    walk_section = data.get("walk", {})
-    if not isinstance(walk_section, dict):
-        raise ValueError("walk section must be an object")
-    _check_keys(walk_section, _WALK_KEYS, "walk")
-    walk = EnvironmentWalk(
-        interference_step=float(walk_section.get("interference_step", 0.5)),
-        load_step=float(walk_section.get("load_step", 0.1)),
-        interference_min=float(walk_section.get("interference_min", 0.0)),
-        interference_max=float(walk_section.get("interference_max", 6.0)),
-        load_min=float(walk_section.get("load_min", 0.5)),
-        load_max=float(walk_section.get("load_max", 2.0)),
-    )
-
     return ExperimentSpec(
         topology=topology,
         seed=seed,
         output_csv=output_csv,
         output_summary=output_summary,
-        engine=engine,
-        walk=walk,
+        engine=_section(data, "engine", EngineConfig, smc=_section(data, "smc", SmcConfig)),
+        walk=_section(data, "walk", EnvironmentWalk),
     )
 
 
@@ -260,26 +226,40 @@ def summarize_records(records: list[CycleRecord], warmup_cycles: int) -> dict:
     return summary
 
 
+def _write_summary(summary: dict, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(summary, handle, indent=2)
+        handle.write("\n")
+
+
+def _publish(outputs: list) -> None:
+    """Write each (target, writer) to a temporary file beside its target,
+    then move them all into place. On failure only the temporaries are
+    removed, so a failed run neither leaves a partial file nor destroys an
+    existing one."""
+    temps = []
+    try:
+        for index, (target, write) in enumerate(outputs):
+            temps.append(f"{target}.{os.getpid()}-{index}.tmp")
+            write(temps[-1])
+        for (target, _), temp in zip(outputs, temps):
+            os.replace(temp, target)
+    except BaseException:
+        for temp in temps:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
+        raise
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     spec = load_experiment_config(args.config)
     topology = TOPOLOGY_PRESETS[spec.topology]()
     records = run_experiment(topology, spec.engine, spec.walk, spec.seed)
     summary = summarize_records(records, spec.engine.warmup_cycles)
-    try:
-        write_records_csv(records, spec.output_csv)
-        if spec.output_summary is not None:
-            with open(spec.output_summary, "w", encoding="utf-8") as handle:
-                json.dump(summary, handle, indent=2)
-                handle.write("\n")
-    except BaseException:
-        # never leave a partial output file behind
-        for path in (spec.output_csv, spec.output_summary):
-            if path is not None:
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-        raise
+    outputs = [(spec.output_csv, partial(write_records_csv, records))]
+    if spec.output_summary is not None:
+        outputs.append((spec.output_summary, partial(_write_summary, summary)))
+    _publish(outputs)
     print(json.dumps(summary, indent=2))
     return 0
 
@@ -294,8 +274,7 @@ def cmd_smc_selftest(args: argparse.Namespace) -> int:
         raise ValueError("mean must lie in [0, 1]")
     config = SmcConfig(epsilon=args.epsilon, alpha=args.alpha, kappa_scale=args.kappa_scale)
     report = coverage_experiment(args.mean, config, args.repetitions, args.seed)
-    formatted = {k: (_sig(v) if isinstance(v, float) else v) for k, v in report.items()}
-    print(json.dumps(formatted, indent=2))
+    print(json.dumps(_sig_floats(report), indent=2))
     return 0 if report["passed"] else 1
 
 
@@ -313,12 +292,17 @@ def build_parser() -> argparse.ArgumentParser:
     bounds = sub.add_parser("bounds", help="evaluate the decision-error bound for explicit parameters")
     bounds.add_argument("--m", type=int, required=True, help="training-window sample count")
     bounds.add_argument("--d", type=int, required=True, help="VC dimension of the learner")
-    bounds.add_argument("--eta", type=float, default=0.05, help="risk-bound significance (default 0.05)")
-    bounds.add_argument("--epsilon", type=float, default=0.01, help="SMC approximation half-width (default 0.01)")
-    bounds.add_argument("--alpha", type=float, default=0.1, help="SMC significance (default 0.1)")
-    bounds.add_argument("--kappa-scale", type=float, default=100.0, help="quality units per unit epsilon (default 100)")
-    bounds.add_argument("--l-q", type=float, default=0.0, help="quality domain lower bound (default 0)")
-    bounds.add_argument("--u-q", type=float, default=100.0, help="quality domain upper bound (default 100)")
+    bounds.add_argument("--eta", type=float, default=EngineConfig.eta,
+                        help="risk-bound significance (default %(default)s)")
+    bounds.add_argument("--epsilon", type=float, default=SmcConfig.epsilon,
+                        help="SMC approximation half-width (default %(default)s)")
+    bounds.add_argument("--alpha", type=float, default=SmcConfig.alpha, help="SMC significance (default %(default)s)")
+    bounds.add_argument("--kappa-scale", type=float, default=SmcConfig.kappa_scale,
+                        help="quality units per unit epsilon (default %(default)s)")
+    bounds.add_argument("--l-q", type=float, default=LOSS_DOMAIN.lower,
+                        help="quality domain lower bound (default %(default)s)")
+    bounds.add_argument("--u-q", type=float, default=LOSS_DOMAIN.upper,
+                        help="quality domain upper bound (default %(default)s)")
     bounds.add_argument("--empirical-risk", type=float, required=True, help="training MSE of the model")
     bounds.add_argument("--cutoff", type=float, required=True, help="reduction threshold")
     bounds.add_argument("--b-hat-w", type=float, required=True, help="minimum predicted quality")
@@ -332,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     selftest = sub.add_parser("smc-selftest", help="coverage experiment against a known-mean model")
     selftest.add_argument("--epsilon", type=float, default=0.02, help="approximation half-width (default 0.02)")
     selftest.add_argument("--alpha", type=float, default=0.05, help="significance (default 0.05)")
-    selftest.add_argument("--kappa-scale", type=float, default=100.0, help="quality scaling (default 100)")
+    selftest.add_argument("--kappa-scale", type=float, default=SmcConfig.kappa_scale,
+                          help="quality scaling (default %(default)s)")
     selftest.add_argument("--mean", type=float, default=0.5, help="true mean of the test model (default 0.5)")
     selftest.add_argument("--repetitions", type=int, default=500, help="independent estimates to run (default 500)")
     selftest.add_argument("--seed", type=int, default=0, help="base seed (default 0)")

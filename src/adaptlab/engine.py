@@ -21,21 +21,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from .bounds import (
     DecisionErrorBound,
-    Goal,
     QualityDomain,
     RiskBoundInputs,
-    adjusted_risk_margin,
     count_feasible,
     decision_error_bound,
-    risk_margin,
-    vc_confidence_term,
+    expected_risk_terms,
     vc_dimension_linear,
 )
 from .netsim import (
@@ -57,11 +53,9 @@ from .smc import SmcConfig, verify_options
 _ENV_SEED_SALT = 0x454E5649524F4E  # distinct per-purpose salts so the
 _SMC_SEED_SALT = 0x534D432D52554E  # walk and verification streams never collide
 
-
-class CutoffRule(Enum):
-    """Reduction-threshold rules. Only one exists today."""
-
-    MIN_MEDIAN_QUARTER = "min-median-quarter"
+# Quality is packet loss in percent: the oracle's scale, and the SMC scale
+# with the default kappa_scale of 100.
+LOSS_DOMAIN = QualityDomain(lower=0.0, upper=100.0)
 
 
 @dataclass(frozen=True)
@@ -71,8 +65,7 @@ class EngineConfig:
     warmup_cycles: int = 30
     total_cycles: int = 200
     eta: float = 0.05
-    smc: SmcConfig = field(default_factory=lambda: SmcConfig(epsilon=0.01, alpha=0.1))
-    cutoff_rule: CutoffRule = CutoffRule.MIN_MEDIAN_QUARTER
+    smc: SmcConfig = field(default_factory=SmcConfig)
     evaluation_mode: bool = True
     window_factor: int = 10
     workers: int = 1
@@ -150,7 +143,6 @@ class AdaptationEngine:
         self.walk = walk if walk is not None else EnvironmentWalk()
         self.base_seed = base_seed
         self.options = enumerate_options(topology)
-        self.domain = QualityDomain(lower=0.0, upper=100.0, goal=Goal.MINIMIZE)
         self.vc_dim = vc_dimension_linear(feature_dim(topology))
         self.window_cap = config.window_factor * len(self.options)
         self.env: Environment = initial_environment(topology)
@@ -239,7 +231,7 @@ class AdaptationEngine:
         """Compose the per-cycle decision-error bound, or None when the
         training window is still too small for the risk bound to apply."""
         m = len(self.samples)
-        if self.vc_dim >= m or risk > self.domain.loss_upper:
+        if self.vc_dim >= m or risk > LOSS_DOMAIN.loss_upper:
             return None
         inputs = RiskBoundInputs(
             m=m,
@@ -249,11 +241,9 @@ class AdaptationEngine:
             kappa=self.config.smc.kappa,
             alpha=self.config.smc.alpha,
         )
-        confidence_term = vc_confidence_term(m, self.vc_dim, self.config.eta)
-        margin = adjusted_risk_margin(risk_margin(self.domain, confidence_term), self.domain, inputs.kappa)
-        radius = math.sqrt(risk + margin)
-        n_feasible = count_feasible(predictions.tolist(), best_prediction, radius)
-        return decision_error_bound(inputs, self.domain, cut, best_prediction, n_feasible)
+        *_, risk_upper = expected_risk_terms(inputs, LOSS_DOMAIN)
+        n_feasible = count_feasible(predictions.tolist(), best_prediction, math.sqrt(risk_upper))
+        return decision_error_bound(inputs, LOSS_DOMAIN, cut, best_prediction, n_feasible)
 
 
 def environment_step_for_cycle(

@@ -18,11 +18,11 @@ Two evaluations of the same configuration are provided:
 - ``true_expected_loss``: exact expected packet-loss percentage by
   propagating expected traffic through the DAG (no sampling). Used as the
   ground-truth oracle when measuring decision error.
-- ``simulate_run`` / ``NetworkModel``: one stochastic period, sampling
-  every packet's route and per-hop delivery. Each packet draw is addressed
-  by (seed, stream index), so a batch of runs is bit-identical to the same
-  runs executed one by one - which is what makes SMC estimates over this
-  model reproducible and parallelizable.
+- ``NetworkModel``: one stochastic period per seed, sampling every
+  packet's route and per-hop delivery. Each packet draw is addressed by
+  (seed, stream index), so a batch of runs is bit-identical to the same
+  runs executed one by one (as batches of one) - which is what makes SMC
+  estimates over this model reproducible and parallelizable.
 
 Packet counts per mote are ``round(rate * load)`` - deterministic given
 the environment - and a packet's parent choice is sampled per packet, so
@@ -166,22 +166,6 @@ def option_from_id(topology: NetworkTopology, option_id: int) -> AdaptationOptio
     )
 
 
-def option_id_for(topology: NetworkTopology, power_levels: tuple[int, ...], split_choices: tuple[int, ...]) -> int:
-    """Inverse of :func:`option_from_id`."""
-    digits = list(power_levels) + list(split_choices)
-    radices = topology._radices()
-    if len(digits) != len(radices):
-        raise ValueError("settings tuple does not match the topology's choice structure")
-    option_id = 0
-    stride = 1
-    for digit, radix in zip(digits, radices):
-        if not 0 <= digit < radix:
-            raise ValueError(f"setting {digit} outside its radix {radix}")
-        option_id += digit * stride
-        stride *= radix
-    return option_id
-
-
 def enumerate_options(topology: NetworkTopology) -> list[AdaptationOption]:
     """The complete adaptation space, ids 0..option_count-1 in order."""
     return [option_from_id(topology, i) for i in range(topology.option_count)]
@@ -197,6 +181,17 @@ class EnvironmentWalk:
     interference_max: float = 6.0
     load_min: float = 0.5
     load_max: float = 2.0
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"walk {name} must be finite, got {value}")
+        if self.interference_step < 0.0 or self.load_step < 0.0:
+            raise ValueError("walk steps must be nonnegative")
+        if self.interference_min > self.interference_max:
+            raise ValueError("walk interference_min exceeds interference_max")
+        if self.load_min > self.load_max:
+            raise ValueError("walk load_min exceeds load_max")
 
 
 @dataclass(frozen=True)
@@ -332,12 +327,12 @@ def true_expected_loss(
 class NetworkModel:
     """One (topology, option, environment) triple as a stochastic model.
 
-    ``simulate`` plays one network period and returns the lost-packet
-    fraction in [0, 1]. Every packet's route and delivery draw is addressed
-    by (run seed, stream index): mote processing order, per-mote slot
-    capacities, and stream offsets are all fixed at construction, so
-    ``simulate_batch`` over many seeds is bit-identical to ``simulate``
-    run per seed.
+    ``simulate_batch`` plays one network period per seed and returns each
+    run's lost-packet fraction in [0, 1]. Every packet's route and delivery
+    draw is addressed by (run seed, stream index): mote processing order,
+    per-mote slot capacities, and stream offsets are all fixed at
+    construction, so a batch over many seeds is bit-identical to batches of
+    one seed each.
     """
 
     def __init__(
@@ -377,9 +372,6 @@ class NetworkModel:
             self._plan.append((mote.mote_id, caps[mote.mote_id], base, first_weight, links))
             base += 2 * caps[mote.mote_id]
 
-    def simulate(self, seed: int) -> float:
-        return float(self.simulate_batch(np.array([seed & (2**64 - 1)], dtype=np.uint64))[0])
-
     def simulate_batch(self, seeds: np.ndarray) -> np.ndarray:
         seeds = np.asarray(seeds, dtype=np.uint64)
         n_runs = seeds.shape[0]
@@ -410,17 +402,6 @@ class NetworkModel:
                 arrivals[parent2] += delivered2.sum(axis=1)
         lost = total - arrivals[0]
         return lost.astype(np.float64) / total
-
-
-def simulate_run(
-    topology: NetworkTopology,
-    option: AdaptationOption,
-    env: Environment,
-    seed: int,
-    delivery_override: float | None = None,
-) -> float:
-    """One stochastic network period; lost/generated fraction in [0, 1]."""
-    return NetworkModel(topology, option, env, delivery_override).simulate(seed)
 
 
 def desk_topology() -> NetworkTopology:

@@ -3,12 +3,12 @@
 The fit standardizes each feature to zero mean / unit variance over the
 training window (conditioning only; capacity is unchanged), solves the
 normal equations, and folds the standardization back into raw-space
-weights, so a trained model is just ``predict(x) = weights @ x + intercept``.
+weights, so a trained model predicts just ``weights @ x + intercept``.
 
 When the Gram matrix is not positive definite (duplicate or constant
 features, fewer samples than dimensions) a small ridge term scaled to the
 Gram trace is added to the weight block, keeping the solve deterministic
-with no tuning. Models are immutable; retraining produces a new model.
+with no tuning. Models are immutable; retraining is a fresh ``fit``.
 """
 
 from __future__ import annotations
@@ -106,16 +106,9 @@ def fit(samples: list[LabeledSample]) -> LinearModel:
     return LinearModel(weights=weights, intercept=intercept, trained_on=m)
 
 
-def predict(model: LinearModel, features) -> float:
-    """Raw prediction weights @ x + intercept; deliberately not clamped."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.shape != (model.input_dim,):
-        raise ValueError(f"feature length {x.shape} does not match model dimension {model.input_dim}")
-    return float(model.weights @ x + model.intercept)
-
-
 def predict_batch(model: LinearModel, features: np.ndarray) -> np.ndarray:
-    """Predictions for a (count, input_dim) feature matrix."""
+    """Raw predictions weights @ x + intercept for a (count, input_dim)
+    feature matrix; deliberately not clamped."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise ValueError(f"feature matrix shape {x.shape} does not match model dimension {model.input_dim}")
@@ -134,15 +127,3 @@ def empirical_risk(model: LinearModel, samples: list[LabeledSample]) -> float:
     residuals = y - (x @ model.weights + model.intercept)
     squares = residuals * residuals
     return math.fsum(squares.tolist()) / len(samples)
-
-
-def retrain(model: LinearModel, all_samples: list[LabeledSample], window_cap: int | None = None) -> LinearModel:
-    """Full refit on the accumulated samples, keeping only the newest
-    ``window_cap`` of them when a cap is given. Equals ``fit`` on that window."""
-    if window_cap is not None:
-        if window_cap < 1:
-            raise ValueError("window_cap must be positive")
-        all_samples = all_samples[-window_cap:]
-    if all_samples and len(all_samples[0].features) != model.input_dim:
-        raise ValueError("sample feature length does not match the model being retrained")
-    return fit(all_samples)

@@ -29,17 +29,18 @@ from .seeds import bernoulli_from_stream, derive_seeds, mix64, stream_uint64
 
 @runtime_checkable
 class StochasticModel(Protocol):
-    """One simulatable system: a run outcome in [0, 1], deterministic per seed."""
+    """One simulatable system: one run outcome in [0, 1] per seed, each
+    deterministic per its seed alone (so any batching gives the same values)."""
 
-    def simulate(self, seed: int) -> float: ...
+    def simulate_batch(self, seeds: np.ndarray) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
 class SmcConfig:
     """Estimation accuracy epsilon, significance alpha, quality-unit scale."""
 
-    epsilon: float
-    alpha: float
+    epsilon: float = 0.01
+    alpha: float = 0.1
     kappa_scale: float = 100.0
 
     def __post_init__(self) -> None:
@@ -76,26 +77,12 @@ def required_samples(epsilon: float, alpha: float) -> int:
 
 
 def _collect_outcomes(model: StochasticModel, seeds: np.ndarray, workers: int) -> np.ndarray:
-    batch = getattr(model, "simulate_batch", None)
     if workers <= 1:
-        if batch is not None:
-            return np.asarray(batch(seeds), dtype=np.float64)
-        return np.array([model.simulate(int(s)) for s in seeds], dtype=np.float64)
-
-    # Outcomes land in run-index order regardless of chunk scheduling.
-    chunks = np.array_split(seeds, workers)
-    out = np.empty(len(seeds), dtype=np.float64)
-    offsets = np.cumsum([0] + [len(c) for c in chunks[:-1]])
-
-    def run_chunk(chunk: np.ndarray) -> np.ndarray:
-        if batch is not None:
-            return np.asarray(batch(chunk), dtype=np.float64)
-        return np.array([model.simulate(int(s)) for s in chunk], dtype=np.float64)
-
+        return np.asarray(model.simulate_batch(seeds), dtype=np.float64)
+    # map() yields the chunks in order, so outcomes stay in run-index order.
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for offset, chunk, result in zip(offsets, chunks, pool.map(run_chunk, chunks)):
-            out[offset:offset + len(chunk)] = result
-    return out
+        chunks = pool.map(model.simulate_batch, np.array_split(seeds, workers))
+        return np.concatenate([np.asarray(chunk, dtype=np.float64) for chunk in chunks])
 
 
 def estimate(model: StochasticModel, config: SmcConfig, base_seed: int, workers: int = 1) -> SmcEstimate:
@@ -145,9 +132,6 @@ class BernoulliModel:
         if not 0.0 <= p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
         self.p = p
-
-    def simulate(self, seed: int) -> float:
-        return float(self.simulate_batch(np.array([seed], dtype=np.uint64))[0])
 
     def simulate_batch(self, seeds: np.ndarray) -> np.ndarray:
         draws = stream_uint64(np.asarray(seeds, dtype=np.uint64), np.uint64(self._SALT))

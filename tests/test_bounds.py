@@ -8,14 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from adaptlab.bounds import (
-    Goal,
-    LearnerCapacity,
     QualityDomain,
     RiskBoundInputs,
     adjusted_risk_margin,
     bound_confidence,
     count_feasible,
     decision_error_bound,
+    expected_risk_terms,
     prob_any_feasible_retained,
     reduction_survival_prob,
     risk_margin,
@@ -36,11 +35,6 @@ class TestVcDimension:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             vc_dimension_linear(0)
-
-    def test_capacity_constructor(self):
-        cap = LearnerCapacity.linear(22)
-        assert cap.input_dim == 22
-        assert cap.vc_dim == 23
 
 
 class TestConfidenceTerm:
@@ -232,7 +226,6 @@ class TestDomain:
         assert PERCENT.loss_upper == 10_000.0
         assert PERCENT.loss_slope_bound == 200.0
         assert PERCENT.width == 100.0
-        assert PERCENT.goal is Goal.MINIMIZE
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
@@ -250,6 +243,9 @@ class TestComposition:
 
     def test_fields_satisfy_their_defining_equations(self):
         bound = decision_error_bound(self._inputs(), PERCENT, 9.4, 8.9, 256)
+        assert expected_risk_terms(self._inputs(), PERCENT) == (
+            bound.confidence_term, bound.risk_margin, bound.adjusted_risk_margin, bound.expected_risk_upper
+        )
         assert bound.risk_margin == PERCENT.loss_upper * math.sqrt(bound.confidence_term)
         assert bound.adjusted_risk_margin == bound.risk_margin + PERCENT.loss_slope_bound * 1.0
         assert bound.expected_risk_upper == 6.0 + bound.adjusted_risk_margin

@@ -2,10 +2,16 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from adaptlab.cli import CSV_HEADER, main
+from adaptlab.cli import CSV_HEADER, load_experiment_config, main, section_defaults
+from adaptlab.engine import EngineConfig
+from adaptlab.netsim import EnvironmentWalk
+from adaptlab.smc import SmcConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -121,9 +127,19 @@ class TestRunCommand:
         assert file_summary == stdout_summary
 
     def test_rejects_unknown_keys(self, tmp_path, capsys):
-        config_path, _ = write_config(tmp_path, bogus=1)
-        assert main(["run", str(config_path)]) == 2
-        assert "bogus" in capsys.readouterr().err
+        for overrides in (
+            dict(bogus=1),
+            dict(engine={"warmup_cycles": 2, "total_cycles": 4, "bogus": 1}),
+            dict(smc={"epsilon": 0.1, "bogus": 1}),
+            dict(walk={"bogus": 1}),
+        ):
+            config_path, _ = write_config(tmp_path, **overrides)
+            assert main(["run", str(config_path)]) == 2
+            assert "bogus" in capsys.readouterr().err
+        for section in ("engine", "smc", "walk"):
+            config_path, _ = write_config(tmp_path, **{section: [1]})
+            assert main(["run", str(config_path)]) == 2
+            assert f"{section} section must be an object" in capsys.readouterr().err
 
     def test_rejects_missing_seed(self, tmp_path, capsys):
         config = {"topology": "desk", "output_csv": str(tmp_path / "x.csv")}
@@ -137,11 +153,27 @@ class TestRunCommand:
             config_path, _ = write_config(tmp_path, seed=bad)
             assert main(["run", str(config_path)]) == 2
             capsys.readouterr()
+        # section fields follow the same rule: the type of the field's default
+        # decides, and nothing is coerced
+        for section, key, bad in (
+            ("smc", "epsilon", "0.2"),
+            ("smc", "kappa_scale", True),
+            ("engine", "eta", math.nan),
+            ("engine", "eta", 10**400),
+            ("engine", "warmup_cycles", 2.0),
+            ("engine", "evaluation_mode", 1),
+            ("walk", "interference_step", "0.5"),
+            ("walk", "load_max", math.inf),
+        ):
+            config_path, _ = write_config(tmp_path, **{section: {key: bad}})
+            assert main(["run", str(config_path)]) == 2
+            assert f"{section}.{key} must be" in capsys.readouterr().err
 
     def test_rejects_unknown_topology(self, tmp_path, capsys):
-        config_path, _ = write_config(tmp_path, topology="mesh")
-        assert main(["run", str(config_path)]) == 2
-        assert "topology" in capsys.readouterr().err
+        for bad in ("mesh", ["desk"]):
+            config_path, _ = write_config(tmp_path, topology=bad)
+            assert main(["run", str(config_path)]) == 2
+            assert "topology" in capsys.readouterr().err
 
     def test_rejects_unreadable_config(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.json")]) == 2
@@ -164,6 +196,12 @@ class TestRunCommand:
         assert summary["mean_measured_error"] is None
         assert summary["bound_holds_fraction"] is None
 
+    def test_rejects_invalid_walk(self, tmp_path, capsys):
+        for walk in ({"interference_min": 5.0, "interference_max": 1.0}, {"load_step": -0.1}):
+            config_path, _ = write_config(tmp_path, walk=walk)
+            assert main(["run", str(config_path)]) == 2
+            assert "walk" in capsys.readouterr().err
+
     def test_failed_write_leaves_no_partial_output(self, tmp_path, capsys):
         config_path, _ = write_config(
             tmp_path,
@@ -171,6 +209,32 @@ class TestRunCommand:
         )
         assert main(["run", str(config_path)]) == 2
         assert not (tmp_path / "out.csv").exists()
+
+    def test_failed_run_keeps_existing_output(self, tmp_path, capsys):
+        previous = b"cycle\n1\n"
+        (tmp_path / "out.csv").write_bytes(previous)
+        config_path, _ = write_config(
+            tmp_path,
+            output_summary=str(tmp_path / "no-such-dir" / "summary.json"),
+        )
+        assert main(["run", str(config_path)]) == 2
+        assert (tmp_path / "out.csv").read_bytes() == previous
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out.csv"]
+
+    def test_readme_example_matches_the_loader(self, tmp_path):
+        """The README's run config lists every accepted key at its default."""
+        text = README.read_text(encoding="utf-8")
+        example = text.split("### `adaptlab run")[1].split("```json\n")[1].split("```")[0]
+        config = json.loads(example)
+        sections = {"engine": EngineConfig, "smc": SmcConfig, "walk": EnvironmentWalk}
+        for name, cls in sections.items():
+            assert config[name] == section_defaults(cls), name
+        path = tmp_path / "readme.json"
+        path.write_text(example)
+        spec = load_experiment_config(str(path))
+        assert spec.engine == EngineConfig()
+        assert spec.walk == EnvironmentWalk()
+        assert set(config) == {"topology", "seed", "output_csv", "output_summary", *sections}
 
 
 class TestSelftestCommand:

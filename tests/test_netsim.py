@@ -22,8 +22,6 @@ from adaptlab.netsim import (
     initial_environment,
     link_delivery_prob,
     option_from_id,
-    option_id_for,
-    simulate_run,
     true_expected_loss,
 )
 from adaptlab.seeds import derive_seeds
@@ -49,16 +47,10 @@ class TestEnumeration:
         options = enumerate_options(DESK)
         assert [o.option_id for o in options] == list(range(256))
 
-    def test_round_trip_random_ids(self):
-        rng = np.random.default_rng(101)
-        for topo in (DESK, FULL):
-            for oid in rng.integers(0, topo.option_count, size=100):
-                option = option_from_id(topo, int(oid))
-                assert option_id_for(topo, option.power_levels, option.split_choices) == int(oid)
-
     def test_encoding_is_injective(self):
-        seen = {(o.power_levels, o.split_choices) for o in enumerate_options(DESK)}
-        assert len(seen) == 256
+        for topo in (DESK, FULL):
+            seen = {(o.power_levels, o.split_choices) for o in enumerate_options(topo)}
+            assert len(seen) == topo.option_count
 
     def test_rejects_out_of_range_id(self):
         with pytest.raises(ValueError):
@@ -153,10 +145,11 @@ class TestAnalyticOracle:
 
     def test_raising_all_powers_weakly_reduces_loss(self):
         env = initial_environment(DESK)
-        max_level = DESK.power_level_count - 1
-        for option in enumerate_options(DESK):
-            boosted_id = option_id_for(DESK, (max_level,) * DESK.mote_count, option.split_choices)
-            boosted = option_from_id(DESK, boosted_id)
+        max_powers = (DESK.power_level_count - 1,) * DESK.mote_count
+        options = enumerate_options(DESK)
+        boosted_by_split = {o.split_choices: o for o in options if o.power_levels == max_powers}
+        for option in options:
+            boosted = boosted_by_split[option.split_choices]
             assert true_expected_loss(DESK, boosted, env) <= true_expected_loss(DESK, option, env) + 1e-12
 
 
@@ -164,8 +157,9 @@ class TestSimulation:
     def test_forced_delivery_extremes(self):
         env = initial_environment(DESK)
         option = option_from_id(DESK, 37)
-        assert simulate_run(DESK, option, env, seed=5, delivery_override=1.0) == 0.0
-        assert simulate_run(DESK, option, env, seed=5, delivery_override=0.0) == 1.0
+        seeds = derive_seeds(5, 20)
+        assert np.all(NetworkModel(DESK, option, env, delivery_override=1.0).simulate_batch(seeds) == 0.0)
+        assert np.all(NetworkModel(DESK, option, env, delivery_override=0.0).simulate_batch(seeds) == 1.0)
 
     def test_outcomes_are_packet_fractions(self):
         """Every outcome is lost/generated for an integer count of lost packets."""
@@ -178,17 +172,20 @@ class TestSimulation:
         np.testing.assert_allclose(lost, np.round(lost), atol=1e-9)
 
     def test_scalar_equals_batch(self):
+        """A batch equals the same seeds run as batches of one."""
         env = initial_environment(DESK)
         model = NetworkModel(DESK, option_from_id(DESK, 90), env)
         seeds = derive_seeds(17, 50)
         batch = model.simulate_batch(seeds)
-        scalar = [model.simulate(int(s)) for s in seeds]
-        assert np.array_equal(batch, np.array(scalar))
+        scalar = np.concatenate([model.simulate_batch(seeds[i:i + 1]) for i in range(len(seeds))])
+        assert np.array_equal(batch, scalar)
 
     def test_deterministic_per_seed(self):
         env = initial_environment(DESK)
         option = option_from_id(DESK, 123)
-        assert simulate_run(DESK, option, env, 42) == simulate_run(DESK, option, env, 42)
+        seeds = np.array([42], dtype=np.uint64)
+        first = NetworkModel(DESK, option, env).simulate_batch(seeds)
+        assert np.array_equal(first, NetworkModel(DESK, option, env).simulate_batch(seeds))
 
     def test_monte_carlo_matches_oracle(self):
         rng = np.random.default_rng(59)
@@ -223,6 +220,19 @@ class TestEnvironment:
         assert still.interference == env.interference
         assert still.load == env.load
         assert still.cycle == env.cycle + 1
+
+    def test_walk_rejects_invalid_values(self):
+        for overrides in (
+            dict(interference_min=5.0, interference_max=1.0),
+            dict(load_min=2.5),
+            dict(load_step=-0.1),
+            dict(interference_step=-1.0),
+            dict(load_max=math.nan),
+            dict(interference_max=math.inf),
+        ):
+            with pytest.raises(ValueError):
+                EnvironmentWalk(**overrides)
+        assert EnvironmentWalk(load_min=1.0, load_max=1.0, load_step=0.0).load_min == 1.0
 
     def test_long_walk_stays_clamped(self):
         walk = EnvironmentWalk()

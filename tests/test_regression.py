@@ -1,4 +1,4 @@
-"""Linear least squares: recovery, optimality, risk measurement, retraining."""
+"""Linear least squares: recovery, optimality, prediction, risk measurement."""
 
 import math
 from fractions import Fraction
@@ -11,9 +11,7 @@ from adaptlab.regression import (
     LinearModel,
     empirical_risk,
     fit,
-    predict,
     predict_batch,
-    retrain,
 )
 
 
@@ -32,7 +30,7 @@ class TestFit:
         np.testing.assert_allclose(model.weights, [3.0], atol=1e-9)
         assert model.intercept == pytest.approx(1.0, abs=1e-9)
         assert model.trained_on == 10
-        assert predict(model, [10.0]) == pytest.approx(31.0, abs=1e-8)
+        assert predict_batch(model, np.array([[10.0]]))[0] == pytest.approx(31.0, abs=1e-8)
 
     def test_recovers_plane(self):
         rng = np.random.default_rng(5)
@@ -113,11 +111,11 @@ class TestFit:
 class TestPredict:
     def test_affine_evaluation(self):
         model = LinearModel(weights=np.array([3.0]), intercept=1.0, trained_on=1)
-        assert predict(model, [2.0]) == 7.0
+        assert predict_batch(model, np.array([[2.0], [-1.0]])).tolist() == [7.0, -2.0]
 
     def test_constant_model(self):
         model = LinearModel(weights=np.zeros(4), intercept=2.5, trained_on=1)
-        assert predict(model, [9.0, -1.0, 0.0, 3.0]) == 2.5
+        assert predict_batch(model, np.array([[9.0, -1.0, 0.0, 3.0]])).tolist() == [2.5]
 
     def test_linearity(self):
         rng = np.random.default_rng(23)
@@ -125,25 +123,28 @@ class TestPredict:
         for _ in range(50):
             x1, x2 = rng.normal(size=6), rng.normal(size=6)
             a = float(rng.uniform())
-            mixed = predict(model, a * x1 + (1 - a) * x2)
-            parts = a * predict(model, x1) + (1 - a) * predict(model, x2)
-            assert mixed == pytest.approx(parts, abs=1e-9)
+            mixed, p1, p2 = predict_batch(model, np.stack([a * x1 + (1 - a) * x2, x1, x2]))
+            assert mixed == pytest.approx(a * p1 + (1 - a) * p2, abs=1e-9)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(31)
         model = LinearModel(weights=rng.normal(size=3), intercept=1.5, trained_on=1)
         x = rng.normal(size=(25, 3))
         batch = predict_batch(model, x)
-        scalar = [predict(model, x[i]) for i in range(25)]
+        single_rows = [predict_batch(model, x[i:i + 1])[0] for i in range(25)]
+        dot_products = [float(model.weights @ x[i] + model.intercept) for i in range(25)]
         # matrix-vector and dot products may round differently in the last bit
-        np.testing.assert_allclose(batch, scalar, rtol=1e-13)
+        np.testing.assert_allclose(batch, single_rows, rtol=1e-13)
+        np.testing.assert_allclose(batch, dot_products, rtol=1e-13)
 
     def test_rejects_length_mismatch(self):
         model = LinearModel(weights=np.array([1.0, 2.0]), intercept=0.0, trained_on=1)
         with pytest.raises(ValueError):
-            predict(model, [1.0])
+            predict_batch(model, np.zeros((1, 1)))
         with pytest.raises(ValueError):
             predict_batch(model, np.zeros((4, 3)))
+        with pytest.raises(ValueError):
+            predict_batch(model, np.zeros(2))
 
 
 class TestEmpiricalRisk:
@@ -181,40 +182,3 @@ class TestEmpiricalRisk:
         with pytest.raises(ValueError):
             empirical_risk(model, [])
 
-
-class TestRetrain:
-    def test_equals_fresh_fit(self):
-        rng = np.random.default_rng(61)
-        samples = make_dataset([1.0, 1.0], 0.0, 30, rng, noise=0.5)
-        model = fit(samples[:10])
-        again = retrain(model, samples)
-        fresh = fit(samples)
-        np.testing.assert_array_equal(again.weights, fresh.weights)
-        assert again.intercept == fresh.intercept
-
-    def test_duplicate_sample_shifts_fit_deterministically(self):
-        rng = np.random.default_rng(67)
-        samples = make_dataset([2.0], 1.0, 12, rng, noise=1.0)
-        extended = samples + [samples[0]]
-        a = retrain(fit(samples), extended)
-        b = fit(extended)
-        np.testing.assert_array_equal(a.weights, b.weights)
-        assert empirical_risk(a, extended) == empirical_risk(b, extended)
-
-    def test_window_cap_keeps_newest(self):
-        rng = np.random.default_rng(71)
-        samples = make_dataset([1.0], 0.0, 50, rng, noise=0.2)
-        capped = retrain(fit(samples[:5]), samples, window_cap=20)
-        fresh = fit(samples[-20:])
-        np.testing.assert_array_equal(capped.weights, fresh.weights)
-        assert capped.trained_on == 20
-
-    def test_rejects_bad_cap_and_dim_change(self):
-        rng = np.random.default_rng(73)
-        samples = make_dataset([1.0], 0.0, 10, rng)
-        model = fit(samples)
-        with pytest.raises(ValueError):
-            retrain(model, samples, window_cap=0)
-        wider = make_dataset([1.0, 2.0], 0.0, 10, rng)
-        with pytest.raises(ValueError):
-            retrain(model, wider)

@@ -16,23 +16,23 @@ from adaptlab.smc import (
 
 
 class ConstantModel:
-    """Every run returns the same outcome; no batch path on purpose."""
+    """Every run returns the same outcome."""
 
     def __init__(self, value: float):
         self.value = value
 
-    def simulate(self, seed: int) -> float:
-        return self.value
+    def simulate_batch(self, seeds: np.ndarray) -> np.ndarray:
+        return np.full(len(seeds), self.value)
 
 
-class ScalarOnlyBernoulli:
-    """BernoulliModel without its vectorized path, for equivalence checks."""
+class OneSeedAtATimeBernoulli:
+    """BernoulliModel run as batches of one seed, for equivalence checks."""
 
     def __init__(self, p: float):
         self._inner = BernoulliModel(p)
 
-    def simulate(self, seed: int) -> float:
-        return self._inner.simulate(seed)
+    def simulate_batch(self, seeds: np.ndarray) -> np.ndarray:
+        return np.concatenate([self._inner.simulate_batch(seeds[i:i + 1]) for i in range(len(seeds))])
 
 
 class TestRequiredSamples:
@@ -82,12 +82,12 @@ class TestEstimate:
     def test_scalar_path_equals_batch_path_bitwise(self):
         config = SmcConfig(epsilon=0.05, alpha=0.1)
         batched = estimate(BernoulliModel(0.37), config, base_seed=21)
-        scalar = estimate(ScalarOnlyBernoulli(0.37), config, base_seed=21)
+        scalar = estimate(OneSeedAtATimeBernoulli(0.37), config, base_seed=21)
         assert batched.mean == scalar.mean
 
     def test_scalar_model_parallel_equals_serial(self):
         config = SmcConfig(epsilon=0.1, alpha=0.2)
-        model = ScalarOnlyBernoulli(0.6)
+        model = OneSeedAtATimeBernoulli(0.6)
         assert estimate(model, config, 3, workers=1).mean == estimate(model, config, 3, workers=4).mean
 
     def test_kappa_scale_is_linear(self):
