@@ -109,10 +109,10 @@ class RiskBoundInputs:
             raise ValueError("eta must lie in (0, 1)")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.empirical_risk < 0.0:
-            raise ValueError("empirical_risk must be nonnegative")
-        if self.kappa < 0.0:
-            raise ValueError("kappa must be nonnegative")
+        if not 0.0 <= self.empirical_risk < math.inf:
+            raise ValueError("empirical_risk must be finite and nonnegative")
+        if not 0.0 <= self.kappa < math.inf:
+            raise ValueError("kappa must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -201,6 +201,8 @@ def reduction_survival_prob(cutoff: float, best_prediction: float, expected_risk
     """
     if expected_risk_upper <= 0.0:
         raise ValueError("expected_risk_upper must be positive (zero risk makes the ratio undefined)")
+    if not (math.isfinite(cutoff) and math.isfinite(best_prediction)):
+        raise ValueError("cutoff and best_prediction must be finite")
     ratio = (cutoff - best_prediction) / (2.0 * math.sqrt(expected_risk_upper))
     return min(1.0, max(0.0, ratio))
 

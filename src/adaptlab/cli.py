@@ -64,7 +64,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         vc_dim=args.d,
         eta=args.eta,
         empirical_risk=args.empirical_risk,
-        kappa=args.kappa_scale * args.epsilon,
+        kappa=SmcConfig(args.epsilon, args.alpha, args.kappa_scale).kappa,
         alpha=args.alpha,
     )
     bound = decision_error_bound(inputs, domain, args.cutoff, args.b_hat_w, args.n)
@@ -268,10 +268,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_smc_selftest(args: argparse.Namespace) -> int:
-    if args.repetitions < 1:
-        raise ValueError("repetitions must be a positive integer")
-    if not 0.0 <= args.mean <= 1.0:
-        raise ValueError("mean must lie in [0, 1]")
     config = SmcConfig(epsilon=args.epsilon, alpha=args.alpha, kappa_scale=args.kappa_scale)
     report = coverage_experiment(args.mean, config, args.repetitions, args.seed)
     print(json.dumps(_sig_floats(report), indent=2))

@@ -8,10 +8,11 @@ clamped away from 0 and 1 so links are never degenerate. The environment
 (per-link interference, per-mote traffic load) drifts between adaptation
 cycles as a bounded random walk.
 
-An adaptation option fixes, per mote, a transmission power level and -
-for motes with two parents - how generated and relayed traffic is split
-between them. Options are enumerated by a mixed-radix encoding of those
-settings, so option ids are stable and bijective.
+An adaptation option makes one binary choice per mote - low or high
+transmission power - and one per mote with two parents - which of its two
+links carries all of its generated and relayed traffic. So every mote
+forwards over exactly one link. Bit i of an option id is the i-th of these
+choices, so option ids are stable and bijective.
 
 Two evaluations of the same configuration are provided:
 
@@ -19,20 +20,20 @@ Two evaluations of the same configuration are provided:
   propagating expected traffic through the DAG (no sampling). Used as the
   ground-truth oracle when measuring decision error.
 - ``NetworkModel``: one stochastic period per seed, sampling every
-  packet's route and per-hop delivery. Each packet draw is addressed by
+  packet's per-hop delivery. Each packet draw is addressed by
   (seed, stream index), so a batch of runs is bit-identical to the same
   runs executed one by one (as batches of one) - which is what makes SMC
   estimates over this model reproducible and parallelizable.
 
 Packet counts per mote are ``round(rate * load)`` - deterministic given
-the environment - and a packet's parent choice is sampled per packet, so
-the analytic oracle is exact, not an approximation.
+the environment - and each mote's route is fixed by the option, so the
+analytic oracle is exact, not an approximation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,12 +81,8 @@ class NetworkTopology:
 
     name: str
     motes: tuple[Mote, ...]
-    power_level_count: int = 2
-    split_level_count: int = 2
 
     def __post_init__(self) -> None:
-        if self.power_level_count < 2 or self.split_level_count < 2:
-            raise ValueError("power and split settings need at least two levels")
         for index, mote in enumerate(self.motes):
             if mote.mote_id != index + 1:
                 raise ValueError(f"motes must be numbered 1..K in order, got id {mote.mote_id} at position {index}")
@@ -121,49 +118,31 @@ class NetworkTopology:
 
     @property
     def option_count(self) -> int:
-        return self.power_level_count ** self.mote_count * self.split_level_count ** len(self.split_motes)
-
-    def _radices(self) -> list[int]:
-        return [self.power_level_count] * self.mote_count + [self.split_level_count] * len(self.split_motes)
+        return 2 ** (self.mote_count + len(self.split_motes))
 
 
 @dataclass(frozen=True)
 class AdaptationOption:
     """One full network configuration, bijectively identified by ``option_id``.
 
-    power_levels holds one level per mote (ascending mote id);
-    split_choices one level per two-parent mote (ascending id), where
-    level L out of S levels sends the fraction L/(S-1) of that mote's
-    traffic to its first-listed parent.
+    Every setting is one bit. power_levels holds one per mote (ascending
+    mote id): 0 for low, 1 for high transmission power. split_choices holds
+    one per two-parent mote (ascending id): 1 sends all of that mote's
+    traffic over its first-listed link, 0 over its second.
     """
 
     option_id: int
     power_levels: tuple[int, ...]
     split_choices: tuple[int, ...]
-    split_level_count: int = 2
-
-    @property
-    def split_fractions(self) -> tuple[float, ...]:
-        top = self.split_level_count - 1
-        return tuple(level / top for level in self.split_choices)
 
 
 def option_from_id(topology: NetworkTopology, option_id: int) -> AdaptationOption:
-    """Decode a mixed-radix option id into its settings tuple."""
+    """Decode an option id: bit i is the i-th setting, powers before splits."""
     if not 0 <= option_id < topology.option_count:
         raise ValueError(f"option_id {option_id} outside [0, {topology.option_count})")
-    digits = []
-    remainder = option_id
-    for radix in topology._radices():
-        remainder, digit = divmod(remainder, radix)
-        digits.append(digit)
     k = topology.mote_count
-    return AdaptationOption(
-        option_id=option_id,
-        power_levels=tuple(digits[:k]),
-        split_choices=tuple(digits[k:]),
-        split_level_count=topology.split_level_count,
-    )
+    bits = tuple((option_id >> i) & 1 for i in range(k + len(topology.split_motes)))
+    return AdaptationOption(option_id=option_id, power_levels=bits[:k], split_choices=bits[k:])
 
 
 def enumerate_options(topology: NetworkTopology) -> list[AdaptationOption]:
@@ -203,10 +182,15 @@ class Environment:
     cycle: int = 0
 
 
-def initial_environment(topology: NetworkTopology, interference: float = 2.0, load: float = 1.0) -> Environment:
+# Every link's interference and every mote's load at cycle 0.
+INITIAL_INTERFERENCE = 2.0
+INITIAL_LOAD = 1.0
+
+
+def initial_environment(topology: NetworkTopology) -> Environment:
     return Environment(
-        interference=(interference,) * topology.link_count,
-        load=(load,) * topology.mote_count,
+        interference=(INITIAL_INTERFERENCE,) * topology.link_count,
+        load=(INITIAL_LOAD,) * topology.mote_count,
         cycle=0,
     )
 
@@ -242,13 +226,13 @@ def link_delivery_prob(params: LinkParams, power_level: int, interference: float
 def features(topology: NetworkTopology, option: AdaptationOption, env: Environment) -> np.ndarray:
     """Feature vector: settings then environment readings, fixed ordering.
 
-    Layout: power level per mote (ascending id), split fraction per
-    two-parent mote (ascending id), interference per link (canonical link
-    order), load per mote (ascending id).
+    Layout: power bit per mote (ascending id), split bit per two-parent
+    mote (ascending id), interference per link (canonical link order),
+    load per mote (ascending id).
     """
     return np.concatenate([
         np.asarray(option.power_levels, dtype=np.float64),
-        np.asarray(option.split_fractions, dtype=np.float64),
+        np.asarray(option.split_choices, dtype=np.float64),
         np.asarray(env.interference, dtype=np.float64),
         np.asarray(env.load, dtype=np.float64),
     ])
@@ -264,35 +248,27 @@ def _generated_packets(topology: NetworkTopology, env: Environment) -> list[int]
     return [max(0, round(m.rate * env.load[m.mote_id - 1])) for m in topology.motes]
 
 
-def _link_probs(
+def _chosen_links(
     topology: NetworkTopology,
     option: AdaptationOption,
     env: Environment,
     delivery_override: float | None,
-) -> dict[tuple[int, int], float]:
-    probs = {}
-    for index, (child, parent) in enumerate(topology.link_order):
-        if delivery_override is not None:
-            probs[(child, parent)] = delivery_override
-        else:
-            params = next(l.params for l in topology.motes[child - 1].links if l.parent == parent)
-            probs[(child, parent)] = link_delivery_prob(
-                params, option.power_levels[child - 1], env.interference[index]
-            )
-    return probs
-
-
-def _route_weights(topology: NetworkTopology, option: AdaptationOption) -> dict[int, tuple[float, ...]]:
-    """Per mote, the fraction of its traffic sent over each of its links."""
-    split_index = {mote_id: i for i, mote_id in enumerate(topology.split_motes)}
-    weights = {}
-    for mote in topology.motes:
-        if len(mote.links) == 1:
-            weights[mote.mote_id] = (1.0,)
-        else:
-            w = option.split_fractions[split_index[mote.mote_id]]
-            weights[mote.mote_id] = (w, 1.0 - w)
-    return weights
+) -> list[tuple[int, float]]:
+    """Per mote (ascending id), ``(parent, q)`` of the one link the option
+    routes its traffic over: split bit 1 picks the first-listed link, 0 the
+    second. q is that link's delivery probability, or ``delivery_override``."""
+    splits = iter(option.split_choices)
+    chosen = []
+    link_index = 0  # canonical index of the mote's first link
+    for mote, power in zip(topology.motes, option.power_levels):
+        pick = 0 if len(mote.links) == 1 else 1 - next(splits)
+        link = mote.links[pick]
+        q = delivery_override
+        if q is None:
+            q = link_delivery_prob(link.params, power, env.interference[link_index + pick])
+        chosen.append((link.parent, q))
+        link_index += len(mote.links)
+    return chosen
 
 
 def true_expected_loss(
@@ -304,23 +280,18 @@ def true_expected_loss(
     """Exact expected packet-loss percentage for one configuration.
 
     Closed form: the probability a packet at mote i reaches the gateway is
-    reach(i) = sum over links of route_weight * delivery_prob * reach(parent),
+    reach(i) = q * reach(parent) over the link the option picks for i,
     evaluated in ascending mote order (parents first). Loss is
     100 * (1 - delivered/generated) over deterministic per-mote packet counts.
     """
-    probs = _link_probs(topology, option, env, delivery_override)
-    weights = _route_weights(topology, option)
     generated = _generated_packets(topology, env)
     total = sum(generated)
     if total == 0:
         return 0.0
-    reach = {0: 1.0}
-    for mote in topology.motes:
-        reach[mote.mote_id] = sum(
-            w * probs[(mote.mote_id, link.parent)] * reach[link.parent]
-            for w, link in zip(weights[mote.mote_id], mote.links)
-        )
-    delivered = sum(g * reach[m.mote_id] for g, m in zip(generated, topology.motes))
+    reach = [1.0]  # by node id; the gateway's is 1
+    for parent, q in _chosen_links(topology, option, env, delivery_override):
+        reach.append(q * reach[parent])
+    delivered = sum(g * r for g, r in zip(generated, reach[1:]))
     return 100.0 * (1.0 - delivered / total)
 
 
@@ -328,11 +299,11 @@ class NetworkModel:
     """One (topology, option, environment) triple as a stochastic model.
 
     ``simulate_batch`` plays one network period per seed and returns each
-    run's lost-packet fraction in [0, 1]. Every packet's route and delivery
-    draw is addressed by (run seed, stream index): mote processing order,
-    per-mote slot capacities, and stream offsets are all fixed at
-    construction, so a batch over many seeds is bit-identical to batches of
-    one seed each.
+    run's lost-packet fraction in [0, 1]. Each mote forwards its packets
+    over the one link the option picks. Every packet's delivery draw is
+    addressed by (run seed, stream index): mote processing order, per-mote
+    slot capacities, and stream offsets are all fixed at construction, so a
+    batch over many seeds is bit-identical to batches of one seed each.
     """
 
     def __init__(
@@ -342,35 +313,24 @@ class NetworkModel:
         env: Environment,
         delivery_override: float | None = None,
     ):
-        self.topology = topology
-        self.option = option
-        self.env = env
-        probs = _link_probs(topology, option, env, delivery_override)
-        weights = _route_weights(topology, option)
+        chosen = _chosen_links(topology, option, env, delivery_override)
         self._generated = _generated_packets(topology, env)
         self._total_generated = sum(self._generated)
 
-        # Children before parents: parent ids are smaller by construction.
-        order = sorted(topology.motes, key=lambda m: m.mote_id, reverse=True)
-        caps: dict[int, int] = {m.mote_id: 0 for m in topology.motes}
-        inbound: dict[int, int] = {i: 0 for i in range(topology.mote_count + 1)}
-        for mote in order:
-            cap = self._generated[mote.mote_id - 1] + inbound[mote.mote_id]
-            caps[mote.mote_id] = cap
-            for w, link in zip(weights[mote.mote_id], mote.links):
-                if w > 0.0:
-                    inbound[link.parent] += cap
-
-        # Per-mote plan rows: (mote_id, cap, stream_base, first_weight,
-        # [(parent, q), ...]); stream layout is 2 draws per slot
-        # (route, delivery) whether or not the route draw is consumed.
+        # Per-mote plan rows, children before parents (parent ids are
+        # smaller by construction): (mote_id, cap, stream_base, parent, q).
+        # Each slot keeps two stream indices, the delivery draw at the
+        # second, as when the first drew a route: this keeps outputs
+        # byte-identical to the per-packet route sampler.
+        inbound = [0] * (topology.mote_count + 1)
         self._plan = []
         base = 0
-        for mote in order:
-            links = [(link.parent, probs[(mote.mote_id, link.parent)]) for link in mote.links]
-            first_weight = weights[mote.mote_id][0]
-            self._plan.append((mote.mote_id, caps[mote.mote_id], base, first_weight, links))
-            base += 2 * caps[mote.mote_id]
+        for mote_id in range(topology.mote_count, 0, -1):
+            parent, q = chosen[mote_id - 1]
+            cap = self._generated[mote_id - 1] + inbound[mote_id]
+            inbound[parent] += cap
+            self._plan.append((mote_id, cap, base, parent, q))
+            base += 2 * cap
 
     def simulate_batch(self, seeds: np.ndarray) -> np.ndarray:
         seeds = np.asarray(seeds, dtype=np.uint64)
@@ -378,28 +338,18 @@ class NetworkModel:
         total = self._total_generated
         if total == 0:
             return np.zeros(n_runs, dtype=np.float64)
-        arrivals = {i: np.zeros(n_runs, dtype=np.int64) for i in range(self.topology.mote_count + 1)}
+        arrivals = [np.zeros(n_runs, dtype=np.int64) for _ in range(len(self._generated) + 1)]
         seeds_col = seeds[:, None]
-        for mote_id, cap, base, first_weight, links in self._plan:
+        for mote_id, cap, base, parent, q in self._plan:
             if cap == 0:
                 continue
             packets = arrivals[mote_id] + self._generated[mote_id - 1]
             slots = np.arange(cap, dtype=np.int64)
             active = slots[None, :] < packets[:, None]
-            stream = np.uint64(base) + np.uint64(2) * slots.astype(np.uint64)
-            delivery_draws = stream_uint64(seeds_col, (stream + np.uint64(1))[None, :])
-            if len(links) == 2 and 0.0 < first_weight < 1.0:
-                route_draws = stream_uint64(seeds_col, stream[None, :])
-                to_first = bernoulli_from_stream(route_draws, first_weight)
-            else:
-                to_first = np.full((n_runs, cap), first_weight >= 1.0 or len(links) == 1)
-            parent, q = links[0]
-            delivered = active & to_first & bernoulli_from_stream(delivery_draws, q)
+            stream = np.uint64(base + 1) + np.uint64(2) * slots.astype(np.uint64)
+            delivery_draws = stream_uint64(seeds_col, stream[None, :])
+            delivered = active & bernoulli_from_stream(delivery_draws, q)
             arrivals[parent] += delivered.sum(axis=1)
-            if len(links) == 2:
-                parent2, q2 = links[1]
-                delivered2 = active & ~to_first & bernoulli_from_stream(delivery_draws, q2)
-                arrivals[parent2] += delivered2.sum(axis=1)
         lost = total - arrivals[0]
         return lost.astype(np.float64) / total
 

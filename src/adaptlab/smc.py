@@ -48,8 +48,8 @@ class SmcConfig:
             raise ValueError("epsilon must lie in (0, 1)")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if not self.kappa_scale > 0.0:
-            raise ValueError("kappa_scale must be positive")
+        if not 0.0 < self.kappa_scale < math.inf:
+            raise ValueError("kappa_scale must be positive and finite")
 
     @property
     def kappa(self) -> float:

@@ -121,6 +121,11 @@ class TestSurvivalProb:
         with pytest.raises(ValueError):
             reduction_survival_prob(10.0, 7.0, 0.0)
 
+    def test_rejects_non_finite_cutoff_and_best_prediction(self):
+        for cutoff, best in ((math.nan, 7.0), (math.inf, 7.0), (10.0, math.nan), (10.0, -math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                reduction_survival_prob(cutoff, best, 4.0)
+
 
 class TestRetainedProb:
     def test_matches_direct_power_form(self):
@@ -213,7 +218,11 @@ class TestRiskBoundInputs:
             dict(alpha=0.0),
             dict(alpha=1.0),
             dict(empirical_risk=-0.1),
+            dict(empirical_risk=math.nan),
+            dict(empirical_risk=math.inf),
             dict(kappa=-0.1),
+            dict(kappa=math.nan),
+            dict(kappa=math.inf),
             dict(m=0),
             dict(vc_dim=0),
         ):

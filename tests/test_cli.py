@@ -62,6 +62,23 @@ class TestBoundsCommand:
         assert rc == 2
         assert "d >= m" in capsys.readouterr().err
 
+    def test_non_finite_and_out_of_range_flags_are_usage_errors(self, capsys):
+        for flag, value in (
+            ("--empirical-risk", "nan"),
+            ("--empirical-risk", "inf"),
+            ("--cutoff", "nan"),
+            ("--cutoff", "inf"),
+            ("--b-hat-w", "nan"),
+            ("--kappa-scale", "inf"),
+            ("--kappa-scale", "nan"),
+            ("--epsilon", "1.5"),
+            ("--epsilon", "nan"),
+        ):
+            assert main(self.FLAGS + [flag, value]) == 2, (flag, value)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+
     def test_every_flag_is_honoured(self, capsys):
         rc = main([
             "bounds", "--m", "5000", "--d", "10", "--eta", "0.02",

@@ -59,8 +59,15 @@ class TestEnumeration:
             option_from_id(DESK, -1)
 
     def test_split_fractions_span_unit_interval(self):
-        fractions = {o.split_fractions for o in enumerate_options(DESK)}
-        assert ((0.0, 0.0) in fractions) and ((1.0, 1.0) in fractions)
+        env = initial_environment(DESK)
+        columns = slice(DESK.mote_count, DESK.mote_count + len(DESK.split_motes))
+        fractions = {tuple(features(DESK, o, env)[columns]) for o in enumerate_options(DESK)}
+        assert fractions == {(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)}
+
+    def test_id_bits_are_the_settings(self):
+        option = option_from_id(DESK, 0b10_000110)
+        assert option.power_levels == (0, 1, 1, 0, 0, 0)
+        assert option.split_choices == (0, 1)
 
 
 class TestTopologyValidation:
@@ -137,6 +144,28 @@ class TestAnalyticOracle:
         env = Environment(interference=(2.0,), load=(0.01,), cycle=0)  # round(1*0.01) = 0 packets
         assert true_expected_loss(topo, option_from_id(topo, 0), env) == 0.0
 
+    def test_split_bit_picks_the_route(self):
+        # Mote 2 reaches the gateway directly (first link) or through mote 1.
+        topo = NetworkTopology(
+            name="two-route",
+            motes=(
+                Mote(1, rate=3, links=(Link(0, LinkParams(base_snr=5.5)),)),
+                Mote(2, rate=4, links=(Link(0, LinkParams(base_snr=3.0)), Link(1, LinkParams(base_snr=6.0)))),
+            ),
+        )
+        env = Environment(interference=(1.5, 2.0, 2.5), load=(1.0, 1.0), cycle=0)
+        q1 = link_delivery_prob(topo.motes[0].links[0].params, 1, 1.5)
+        q20 = link_delivery_prob(topo.motes[1].links[0].params, 0, 2.0)
+        q21 = link_delivery_prob(topo.motes[1].links[1].params, 0, 2.5)
+        direct, relayed = option_from_id(topo, 0b1_01), option_from_id(topo, 0b0_01)
+        assert (direct.split_choices, relayed.split_choices) == ((1,), (0,))
+        assert true_expected_loss(topo, direct, env) == pytest.approx(
+            100.0 * (1.0 - (3 * q1 + 4 * q20) / 7), rel=1e-12
+        )
+        assert true_expected_loss(topo, relayed, env) == pytest.approx(
+            100.0 * (1.0 - (3 * q1 + 4 * q21 * q1) / 7), rel=1e-12
+        )
+
     def test_range_and_determinism(self):
         env = initial_environment(DESK)
         losses = [true_expected_loss(DESK, o, env) for o in enumerate_options(DESK)]
@@ -145,7 +174,7 @@ class TestAnalyticOracle:
 
     def test_raising_all_powers_weakly_reduces_loss(self):
         env = initial_environment(DESK)
-        max_powers = (DESK.power_level_count - 1,) * DESK.mote_count
+        max_powers = (1,) * DESK.mote_count
         options = enumerate_options(DESK)
         boosted_by_split = {o.split_choices: o for o in options if o.power_levels == max_powers}
         for option in options:
@@ -205,6 +234,42 @@ class TestSimulation:
         env = Environment(interference=(2.0,), load=(0.01,), cycle=0)
         model = NetworkModel(topo, option_from_id(topo, 0), env)
         assert np.array_equal(model.simulate_batch(derive_seeds(0, 10)), np.zeros(10))
+
+
+class TestPinnedOutputs:
+    """Exact outputs on desk at one environment, one option per split choice.
+
+    These pin the stream address of every delivery draw and the oracle's
+    float arithmetic: a change to either moves these numbers.
+    """
+
+    ENV = Environment(
+        interference=(1.9, 1.8, 1.1, 1.8, 1.9, 1.7, 2.0, 1.1),
+        load=(1.0, 1.0, 0.9, 1.0, 1.1, 1.1),
+        cycle=0,
+    )
+    GENERATED = 21
+    # option id: (lost packets per seed of derive_seeds(2024, 8), oracle loss)
+    EXPECTED = {
+        45: ([5, 4, 3, 3, 6, 7, 5, 7], 20.109264008786788),
+        83: ([0, 5, 3, 3, 2, 7, 2, 4], 17.20773609076225),
+        177: ([3, 2, 2, 2, 3, 4, 3, 6], 20.03304831444146),
+        222: ([1, 3, 3, 1, 4, 3, 3, 4], 13.565335787257403),
+    }
+
+    def test_options_cover_every_split_choice(self):
+        splits = {option_from_id(DESK, oid).split_choices for oid in self.EXPECTED}
+        assert splits == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+    def test_simulated_lost_packets(self):
+        seeds = derive_seeds(2024, 8)
+        for oid, (lost, _) in self.EXPECTED.items():
+            outcomes = NetworkModel(DESK, option_from_id(DESK, oid), self.ENV).simulate_batch(seeds)
+            assert outcomes.tolist() == [k / self.GENERATED for k in lost], oid
+
+    def test_oracle_values(self):
+        for oid, (_, loss) in self.EXPECTED.items():
+            assert true_expected_loss(DESK, option_from_id(DESK, oid), self.ENV) == loss, oid
 
 
 class TestEnvironment:

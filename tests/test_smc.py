@@ -138,6 +138,8 @@ class TestConfig:
             dict(epsilon=0.1, alpha=0.0),
             dict(epsilon=0.1, alpha=1.0),
             dict(epsilon=0.1, alpha=0.1, kappa_scale=0.0),
+            dict(epsilon=0.1, alpha=0.1, kappa_scale=float("inf")),
+            dict(epsilon=0.1, alpha=0.1, kappa_scale=float("nan")),
         ):
             with pytest.raises(ValueError):
                 SmcConfig(**kwargs)
