@@ -20,7 +20,7 @@ from .bounds import (
 )
 from .engine import EngineConfig, cutoff, run_experiment
 from .netsim import Environment, NetworkModel, desk_topology, option_from_id, true_expected_loss
-from .regression import LabeledSample, empirical_risk, fit
+from .regression import empirical_risk, fit
 from .smc import SmcConfig, coverage_experiment, required_samples
 
 __version__ = "0.1.0"
@@ -28,7 +28,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EngineConfig",
     "Environment",
-    "LabeledSample",
     "NetworkModel",
     "QualityDomain",
     "RiskBoundInputs",

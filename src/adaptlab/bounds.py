@@ -270,9 +270,10 @@ def decision_error_bound(
             accuracy); validated on construction.
         domain: quality-value range; supplies the loss bounds.
         cutoff: reduction threshold that was applied to the predictions.
-        best_prediction: minimum prediction over the complete space. Must
-            not exceed the cutoff (any cutoff rule anchored at the minimum
-            prediction guarantees this).
+        best_prediction: minimum prediction over the complete space. A
+            cutoff below it keeps no option, so the bound then comes with
+            survival_prob and min_probability 0 (any cutoff rule anchored at
+            the minimum prediction stays at or above it).
         n_feasible: number of options considered feasible, e.g. from
             :func:`count_feasible`.
 

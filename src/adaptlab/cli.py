@@ -58,6 +58,8 @@ def _bound_as_dict(bound: DecisionErrorBound) -> dict:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    if args.cutoff < args.b_hat_w:
+        raise ValueError("--cutoff must not lie below --b-hat-w, the minimum prediction")
     domain = QualityDomain(lower=args.l_q, upper=args.u_q)
     inputs = RiskBoundInputs(
         m=args.m,
@@ -152,6 +154,8 @@ def load_experiment_config(path: str) -> ExperimentSpec:
     output_summary = data.get("output_summary")
     if output_summary is not None and (not isinstance(output_summary, str) or not output_summary):
         raise ValueError("output_summary must be a nonempty path string when given")
+    if output_summary is not None and os.path.realpath(output_summary) == os.path.realpath(output_csv):
+        raise ValueError("output_summary and output_csv must be different files")
 
     return ExperimentSpec(
         topology=topology,

@@ -46,7 +46,7 @@ from .netsim import (
     initial_environment,
     true_expected_loss,
 )
-from .regression import LabeledSample, LinearModel, empirical_risk, fit, predict_batch
+from .regression import LinearModel, empirical_risk, fit, predict_batch
 from .seeds import mix64
 from .smc import SmcConfig, verify_options
 
@@ -54,7 +54,7 @@ _ENV_SEED_SALT = 0x454E5649524F4E  # distinct per-purpose salts so the
 _SMC_SEED_SALT = 0x534D432D52554E  # walk and verification streams never collide
 
 # Quality is packet loss in percent: the oracle's scale, and the SMC scale
-# with the default kappa_scale of 100.
+# with kappa_scale 100, the only one EngineConfig accepts.
 LOSS_DOMAIN = QualityDomain(lower=0.0, upper=100.0)
 
 
@@ -81,6 +81,8 @@ class EngineConfig:
             raise ValueError("window_factor must be positive")
         if self.workers < 1:
             raise ValueError("workers must be positive")
+        if self.smc.kappa_scale != LOSS_DOMAIN.width:
+            raise ValueError(f"smc.kappa_scale must be {LOSS_DOMAIN.width}, the width of the loss domain in percent")
 
 
 @dataclass(frozen=True)
@@ -121,13 +123,6 @@ def cutoff(predictions: Sequence[float]) -> float:
     return low + (median - low) / 4.0
 
 
-def reduce_options(option_ids: Sequence[int], predictions: Sequence[float], threshold: float) -> list[int]:
-    """Ids of options predicted at or under the threshold, in input order."""
-    if len(option_ids) != len(predictions):
-        raise ValueError("option ids and predictions must align")
-    return [oid for oid, pred in zip(option_ids, predictions) if pred <= threshold]
-
-
 class AdaptationEngine:
     """Stateful cycle runner; create one per experiment."""
 
@@ -146,7 +141,9 @@ class AdaptationEngine:
         self.vc_dim = vc_dimension_linear(feature_dim(topology))
         self.window_cap = config.window_factor * len(self.options)
         self.env: Environment = initial_environment(topology)
-        self.samples: list[LabeledSample] = []
+        # training window: feature rows and verified estimates, oldest first
+        self.window_x = np.empty((0, feature_dim(topology)))
+        self.window_y = np.empty(0)
         self.model: LinearModel | None = None
         self.completed_cycles = 0
 
@@ -159,21 +156,20 @@ class AdaptationEngine:
         env = self.env
         smc_seed = mix64(self.base_seed, _SMC_SEED_SALT, t)
 
+        design = features(self.topology, env)
         warmup = t <= self.config.warmup_cycles
         if warmup:
-            candidate_ids = [o.option_id for o in self.options]
+            candidate_ids = list(range(len(self.options)))
             cut = None
             best_prediction = None
             predictions = None
         else:
             assert self.model is not None
-            design = np.stack([features(self.topology, o, env) for o in self.options])
             predictions = predict_batch(self.model, design)
             best_prediction = float(predictions.min())
             cut = cutoff(predictions.tolist())
-            candidate_ids = reduce_options(
-                [o.option_id for o in self.options], predictions.tolist(), cut
-            )
+            # Python ints: mix64 seeds each option from its id
+            candidate_ids = np.flatnonzero(predictions <= cut).tolist()
 
         verified = verify_options(
             [(oid, NetworkModel(self.topology, self.options[oid], env)) for oid in candidate_ids],
@@ -183,14 +179,11 @@ class AdaptationEngine:
         )
         selected_id, _ = min(verified, key=lambda pair: (pair[1].mean, pair[0]))
 
-        for oid, est in verified:
-            self.samples.append(
-                LabeledSample(features=features(self.topology, self.options[oid], env), target=est.mean)
-            )
-        if len(self.samples) > self.window_cap:
-            self.samples = self.samples[-self.window_cap:]
-        self.model = fit(self.samples)
-        risk = empirical_risk(self.model, self.samples)
+        verified_ids = [oid for oid, _ in verified]
+        self.window_x = np.concatenate([self.window_x, design[verified_ids]])[-self.window_cap:]
+        self.window_y = np.concatenate([self.window_y, [est.mean for _, est in verified]])[-self.window_cap:]
+        self.model = fit(self.window_x, self.window_y)
+        risk = empirical_risk(self.model, self.window_x, self.window_y)
 
         bound = None
         if not warmup:
@@ -230,7 +223,7 @@ class AdaptationEngine:
     ) -> DecisionErrorBound | None:
         """Compose the per-cycle decision-error bound, or None when the
         training window is still too small for the risk bound to apply."""
-        m = len(self.samples)
+        m = len(self.window_y)
         if self.vc_dim >= m or risk > LOSS_DOMAIN.loss_upper:
             return None
         inputs = RiskBoundInputs(

@@ -223,19 +223,18 @@ def link_delivery_prob(params: LinkParams, power_level: int, interference: float
     return min(Q_CEIL, max(Q_FLOOR, q))
 
 
-def features(topology: NetworkTopology, option: AdaptationOption, env: Environment) -> np.ndarray:
-    """Feature vector: settings then environment readings, fixed ordering.
+def features(topology: NetworkTopology, env: Environment) -> np.ndarray:
+    """Feature matrix of the whole adaptation space, row i for option id i.
 
-    Layout: power bit per mote (ascending id), split bit per two-parent
-    mote (ascending id), interference per link (canonical link order),
-    load per mote (ascending id).
+    Row layout: bit i of the option id in column i, as in
+    ``option_from_id`` (power bit per mote, then split bit per two-parent
+    mote, ascending id), then interference per link (canonical link order)
+    and load per mote (ascending id).
     """
-    return np.concatenate([
-        np.asarray(option.power_levels, dtype=np.float64),
-        np.asarray(option.split_choices, dtype=np.float64),
-        np.asarray(env.interference, dtype=np.float64),
-        np.asarray(env.load, dtype=np.float64),
-    ])
+    ids = np.arange(topology.option_count)[:, None]
+    settings = (ids >> np.arange(topology.mote_count + len(topology.split_motes))) & 1
+    readings = np.array(env.interference + env.load, dtype=np.float64)
+    return np.hstack([settings, np.tile(readings, (len(ids), 1))])  # float64, as readings are
 
 
 def feature_dim(topology: NetworkTopology) -> int:

@@ -23,35 +23,22 @@ RIDGE_SCALE = 1e-8
 
 
 @dataclass(frozen=True)
-class LabeledSample:
-    """One training pair: feature vector and the verifier-estimated quality."""
-
-    features: np.ndarray
-    target: float
-
-
-@dataclass(frozen=True)
 class LinearModel:
     """Immutable affine predictor ``weights @ x + intercept``."""
 
     weights: np.ndarray
     intercept: float
-    trained_on: int
 
     @property
     def input_dim(self) -> int:
         return self.weights.shape[0]
 
 
-def _as_matrix(samples: list[LabeledSample]) -> tuple[np.ndarray, np.ndarray]:
-    if not samples:
-        raise ValueError("dataset must be nonempty")
-    dim = len(samples[0].features)
-    for i, s in enumerate(samples):
-        if len(s.features) != dim:
-            raise ValueError(f"inconsistent feature length at sample {i}: {len(s.features)} != {dim}")
-    x = np.array([s.features for s in samples], dtype=np.float64)
-    y = np.array([s.target for s in samples], dtype=np.float64)
+def _training_window(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or len(x) == 0 or y.shape != (len(x),):
+        raise ValueError(f"need a nonempty (m, d) feature matrix and m targets, got shapes {x.shape} and {y.shape}")
     return x, y
 
 
@@ -79,14 +66,14 @@ def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray, n_features: int) 
     raise np.linalg.LinAlgError("normal equations unsolvable even with ridge regularization")
 
 
-def fit(samples: list[LabeledSample]) -> LinearModel:
-    """Least-squares fit of targets on features.
+def fit(x: np.ndarray, y: np.ndarray) -> LinearModel:
+    """Least-squares fit of the targets y on the rows of the (m, d) matrix x.
 
-    Deterministic for a fixed sample order, and permutation of the samples
-    moves the solution only at floating-point noise level (the minimizer
-    itself is order-independent).
+    Deterministic for a fixed row order, and permutation of the rows moves
+    the solution only at floating-point noise level (the minimizer itself
+    is order-independent).
     """
-    x, y = _as_matrix(samples)
+    x, y = _training_window(x, y)
     m, n = x.shape
 
     mean = x.mean(axis=0)
@@ -103,7 +90,7 @@ def fit(samples: list[LabeledSample]) -> LinearModel:
     scaled_b = theta[n]
     weights = scaled_w / std
     intercept = float(scaled_b - weights @ mean)
-    return LinearModel(weights=weights, intercept=intercept, trained_on=m)
+    return LinearModel(weights=weights, intercept=intercept)
 
 
 def predict_batch(model: LinearModel, features: np.ndarray) -> np.ndarray:
@@ -115,15 +102,15 @@ def predict_batch(model: LinearModel, features: np.ndarray) -> np.ndarray:
     return x @ model.weights + model.intercept
 
 
-def empirical_risk(model: LinearModel, samples: list[LabeledSample]) -> float:
-    """Mean squared residual on the given samples.
+def empirical_risk(model: LinearModel, x: np.ndarray, y: np.ndarray) -> float:
+    """Mean squared residual of the targets y on the rows of x.
 
     Residuals are squared in float64 and accumulated with exact summation,
     so the result does not depend on how the sum might be chunked.
     """
-    x, y = _as_matrix(samples)
+    x, y = _training_window(x, y)
     if x.shape[1] != model.input_dim:
         raise ValueError(f"feature length {x.shape[1]} does not match model dimension {model.input_dim}")
     residuals = y - (x @ model.weights + model.intercept)
     squares = residuals * residuals
-    return math.fsum(squares.tolist()) / len(samples)
+    return math.fsum(squares.tolist()) / len(y)

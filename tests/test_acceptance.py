@@ -20,7 +20,6 @@ from mpmath import mp
 
 from adaptlab import (
     Environment,
-    LabeledSample,
     NetworkModel,
     QualityDomain,
     RiskBoundInputs,
@@ -164,14 +163,14 @@ def test_criterion_5_regressor_recovery(capsys):
         weights = np.array([2.0, -1.5, 0.25, 4.0, -3.0])
         intercept = 7.5
         points = rng.normal(size=(400, 5))
-        samples = [LabeledSample(x, float(x @ weights + intercept)) for x in points]
-        model = fit(samples)
+        targets = np.array([float(x @ weights + intercept) for x in points])
+        model = fit(points, targets)
         assert np.max(np.abs(model.weights - weights)) <= 1e-9
         assert abs(model.intercept - intercept) <= 1e-9
-        mse = empirical_risk(model, samples)
+        mse = empirical_risk(model, points, targets)
         assert mse < 1e-12
-        shuffled = [samples[i] for i in rng.permutation(len(samples))]
-        reordered = fit(shuffled)
+        order = rng.permutation(len(targets))
+        reordered = fit(points[order], targets[order])
         assert np.max(np.abs(reordered.weights - model.weights)) <= 1e-9
         assert abs(reordered.intercept - model.intercept) <= 1e-9
         info["mse"] = f"{mse:.2e}"

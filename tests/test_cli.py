@@ -68,6 +68,7 @@ class TestBoundsCommand:
             ("--empirical-risk", "inf"),
             ("--cutoff", "nan"),
             ("--cutoff", "inf"),
+            ("--cutoff", "5"),  # below --b-hat-w 8.9
             ("--b-hat-w", "nan"),
             ("--kappa-scale", "inf"),
             ("--kappa-scale", "nan"),
@@ -175,6 +176,7 @@ class TestRunCommand:
         for section, key, bad in (
             ("smc", "epsilon", "0.2"),
             ("smc", "kappa_scale", True),
+            ("smc", "kappa_scale", 1.0),  # run reports loss in percent: only 100 fits
             ("engine", "eta", math.nan),
             ("engine", "eta", 10**400),
             ("engine", "warmup_cycles", 2.0),
@@ -212,6 +214,23 @@ class TestRunCommand:
         summary = json.loads(capsys.readouterr().out)
         assert summary["mean_measured_error"] is None
         assert summary["bound_holds_fraction"] is None
+
+    def test_rejects_one_path_for_both_outputs(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        previous = b"cycle\n1\n"
+        (tmp_path / "out.csv").write_bytes(previous)
+        for csv_path, summary_path in (
+            ("out.csv", "out.csv"),
+            ("out.csv", "./out.csv"),
+            (str(tmp_path / "out.csv"), "out.csv"),
+        ):
+            config_path, _ = write_config(tmp_path, output_csv=csv_path, output_summary=summary_path)
+            assert main(["run", str(config_path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "different files" in captured.err
+        assert (tmp_path / "out.csv").read_bytes() == previous
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out.csv"]
 
     def test_rejects_invalid_walk(self, tmp_path, capsys):
         for walk in ({"interference_min": 5.0, "interference_max": 1.0}, {"load_step": -0.1}):

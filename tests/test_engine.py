@@ -9,10 +9,10 @@ from adaptlab.engine import (
     CycleRecord,
     EngineConfig,
     cutoff,
-    reduce_options,
     run_experiment,
 )
-from adaptlab.netsim import EnvironmentWalk, Link, LinkParams, Mote, NetworkTopology, desk_topology
+from adaptlab.netsim import EnvironmentWalk, Link, LinkParams, Mote, NetworkTopology, desk_topology, features
+from adaptlab.regression import predict_batch
 from adaptlab.smc import SmcConfig
 
 DESK = desk_topology()
@@ -60,29 +60,6 @@ class TestCutoff:
             cutoff([])
 
 
-class TestReduce:
-    def test_only_min_survives_tight_threshold(self):
-        predictions = [5.0, 1.0, 9.0, 3.0]
-        assert reduce_options([0, 1, 2, 3], predictions, 1.0) == [1]
-
-    def test_generous_threshold_keeps_all(self):
-        predictions = [5.0, 1.0, 9.0, 3.0]
-        assert reduce_options([0, 1, 2, 3], predictions, 9.0) == [0, 1, 2, 3]
-
-    def test_matches_linear_scan(self):
-        rng = np.random.default_rng(23)
-        for _ in range(30):
-            predictions = rng.normal(10.0, 4.0, size=100).tolist()
-            threshold = float(rng.uniform(0.0, 20.0))
-            ids = list(range(100))
-            expected = [i for i in ids if predictions[i] <= threshold]
-            assert reduce_options(ids, predictions, threshold) == expected
-
-    def test_rejects_misaligned(self):
-        with pytest.raises(ValueError):
-            reduce_options([1, 2], [0.5], 1.0)
-
-
 class TestEngineConfig:
     def test_defaults(self):
         config = EngineConfig()
@@ -110,6 +87,8 @@ class TestEngineConfig:
             EngineConfig(window_factor=0)
         with pytest.raises(ValueError):
             EngineConfig(workers=0)
+        with pytest.raises(ValueError, match="kappa_scale"):
+            EngineConfig(smc=SmcConfig(kappa_scale=1.0))  # fractions, not the loss domain's percent
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +159,19 @@ class TestTrainingWindow:
         engine = AdaptationEngine(DESK, quick_config(window_factor=1), base_seed=5)
         engine.run_cycle()
         engine.run_cycle()
-        assert len(engine.samples) == 256  # two warm-up sweeps, capped at 1x space
+        assert engine.window_x.shape == (256, 22)  # two warm-up sweeps, capped at 1x space
+        assert len(engine.window_y) == 256
+        # a warm-up cycle verifies every option in id order
+        np.testing.assert_array_equal(engine.window_x, features(DESK, engine.env))
+        before, model_before = engine.window_x, engine.model
+        record = engine.run_cycle()
+        design = features(DESK, engine.env)
+        verified = np.flatnonzero(predict_batch(model_before, design) <= record.cutoff)
+        k = record.reduced_size
+        assert len(verified) == k < 256
+        # the verified options' design rows are appended in id order, the oldest rows dropped
+        np.testing.assert_array_equal(engine.window_x, np.concatenate([before[k:], design[verified]]))
+        assert len(engine.window_y) == 256
 
     def test_bound_uses_window_size(self):
         config = quick_config(window_factor=1, warmup_cycles=2, total_cycles=3)
@@ -204,18 +195,14 @@ class TestBoundApplicability:
             assert record.bound_holds is None
 
     def test_selected_option_survived_its_own_cutoff(self):
-        from adaptlab.netsim import features
-        from adaptlab.regression import predict_batch
-
         engine = AdaptationEngine(DESK, quick_config(), base_seed=31)
         for _ in range(2):
             engine.run_cycle()
         model_before = engine.model
         record = engine.run_cycle()
         # the environment the cycle saw is still current; replay its predictions
-        design = np.stack([features(DESK, o, engine.env) for o in engine.options])
-        predictions = predict_batch(model_before, design)
-        survivors = reduce_options(list(range(256)), predictions.tolist(), record.cutoff)
+        predictions = predict_batch(model_before, features(DESK, engine.env))
+        survivors = np.flatnonzero(predictions <= record.cutoff)
         assert record.reduced_size == len(survivors)
         assert record.selected_id in survivors
 

@@ -61,7 +61,7 @@ class TestEnumeration:
     def test_split_fractions_span_unit_interval(self):
         env = initial_environment(DESK)
         columns = slice(DESK.mote_count, DESK.mote_count + len(DESK.split_motes))
-        fractions = {tuple(features(DESK, o, env)[columns]) for o in enumerate_options(DESK)}
+        fractions = {tuple(row) for row in features(DESK, env)[:, columns]}
         assert fractions == {(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)}
 
     def test_id_bits_are_the_settings(self):
@@ -323,25 +323,33 @@ class TestEnvironment:
 class TestFeatures:
     def test_dimension_is_constant_and_documented(self):
         env = initial_environment(DESK)
-        dims = {features(DESK, o, env).shape[0] for o in enumerate_options(DESK)}
-        assert dims == {feature_dim(DESK)}
+        assert features(DESK, env).shape == (256, feature_dim(DESK))
+        assert features(DESK, env).dtype == np.float64
         assert feature_dim(DESK) == 22  # 6 powers + 2 splits + 8 interference + 6 loads
         assert feature_dim(FULL) == 33
 
     def test_distinct_options_differ(self):
         env = initial_environment(DESK)
-        a = features(DESK, option_from_id(DESK, 10), env)
-        b = features(DESK, option_from_id(DESK, 11), env)
-        assert not np.array_equal(a, b)
+        design = features(DESK, env)
+        assert not np.array_equal(design[10], design[11])
 
     def test_interference_is_local_coordinate(self):
-        option = option_from_id(DESK, 77)
         env = initial_environment(DESK)
         bumped_interference = list(env.interference)
         bumped_interference[3] += 0.5
         bumped = Environment(interference=tuple(bumped_interference), load=env.load, cycle=0)
-        a = features(DESK, option, env)
-        b = features(DESK, option, bumped)
-        diff = np.flatnonzero(a != b)
+        rows, columns = np.nonzero(features(DESK, env) != features(DESK, bumped))
         settings_width = DESK.mote_count + len(DESK.split_motes)
-        assert diff.tolist() == [settings_width + 3]
+        assert rows.tolist() == list(range(256))
+        assert set(columns.tolist()) == {settings_width + 3}
+
+    def test_row_i_is_option_i(self):
+        walk = EnvironmentWalk()
+        for topo in (DESK, FULL):
+            env = environment_step(initial_environment(topo), walk, 12)
+            design = features(topo, env)
+            assert design.shape == (topo.option_count, feature_dim(topo))
+            for i in range(topo.option_count):
+                option = option_from_id(topo, i)
+                expected = option.power_levels + option.split_choices + env.interference + env.load
+                assert design[i].tolist() == list(expected)

@@ -6,78 +6,65 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from adaptlab.regression import (
-    LabeledSample,
-    LinearModel,
-    empirical_risk,
-    fit,
-    predict_batch,
-)
+from adaptlab.regression import LinearModel, empirical_risk, fit, predict_batch
 
 
 def make_dataset(weights, intercept, count, rng, noise=0.0):
     dim = len(weights)
     x = rng.normal(0.0, 3.0, size=(count, dim))
     y = x @ np.asarray(weights) + intercept + (rng.normal(0.0, noise, size=count) if noise else 0.0)
-    return [LabeledSample(features=x[i], target=float(y[i])) for i in range(count)]
+    return x, y
 
 
 class TestFit:
     def test_recovers_line(self):
         xs = np.arange(10, dtype=np.float64)
-        samples = [LabeledSample(features=np.array([x]), target=3.0 * x + 1.0) for x in xs]
-        model = fit(samples)
+        model = fit(xs[:, None], 3.0 * xs + 1.0)
         np.testing.assert_allclose(model.weights, [3.0], atol=1e-9)
         assert model.intercept == pytest.approx(1.0, abs=1e-9)
-        assert model.trained_on == 10
         assert predict_batch(model, np.array([[10.0]]))[0] == pytest.approx(31.0, abs=1e-8)
 
     def test_recovers_plane(self):
         rng = np.random.default_rng(5)
-        samples = make_dataset([2.0, -1.0], 5.0, 20, rng)
-        model = fit(samples)
+        model = fit(*make_dataset([2.0, -1.0], 5.0, 20, rng))
         np.testing.assert_allclose(model.weights, [2.0, -1.0], atol=1e-9)
         assert model.intercept == pytest.approx(5.0, abs=1e-9)
 
     def test_recovers_five_dims(self):
         rng = np.random.default_rng(17)
         true_w = [1.5, -2.0, 0.25, 4.0, -0.75]
-        samples = make_dataset(true_w, -3.0, 60, rng)
-        model = fit(samples)
+        x, y = make_dataset(true_w, -3.0, 60, rng)
+        model = fit(x, y)
         np.testing.assert_allclose(model.weights, true_w, atol=1e-9)
         assert model.intercept == pytest.approx(-3.0, abs=1e-9)
-        assert empirical_risk(model, samples) < 1e-12
+        assert empirical_risk(model, x, y) < 1e-12
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(29)
-        samples = make_dataset([0.5, 2.0, -1.0], 1.0, 40, rng, noise=0.3)
-        shuffled = list(samples)
-        rng.shuffle(shuffled)
-        a, b = fit(samples), fit(shuffled)
+        x, y = make_dataset([0.5, 2.0, -1.0], 1.0, 40, rng, noise=0.3)
+        order = rng.permutation(len(y))
+        a, b = fit(x, y), fit(x[order], y[order])
         np.testing.assert_allclose(a.weights, b.weights, atol=1e-9)
         assert a.intercept == pytest.approx(b.intercept, abs=1e-9)
 
     def test_beats_random_probes(self):
         """The fit's MSE is a minimum over 1000 perturbed coefficient vectors."""
         rng = np.random.default_rng(41)
-        samples = make_dataset([1.0, -2.0, 3.0], 0.5, 50, rng, noise=1.0)
-        model = fit(samples)
-        best_risk = empirical_risk(model, samples)
+        x, y = make_dataset([1.0, -2.0, 3.0], 0.5, 50, rng, noise=1.0)
+        model = fit(x, y)
+        best_risk = empirical_risk(model, x, y)
         for _ in range(1000):
             probe = LinearModel(
                 weights=model.weights + rng.normal(0.0, 0.05, size=3),
                 intercept=model.intercept + float(rng.normal(0.0, 0.05)),
-                trained_on=model.trained_on,
             )
-            assert best_risk <= empirical_risk(probe, samples) + 1e-9
+            assert best_risk <= empirical_risk(probe, x, y) + 1e-9
 
     def test_agrees_with_lstsq_on_well_conditioned_data(self):
         rng = np.random.default_rng(57)
-        samples = make_dataset([4.0, 1.0, -2.5, 0.0], 2.0, 200, rng, noise=2.0)
-        model = fit(samples)
-        x = np.array([s.features for s in samples])
-        y = np.array([s.target for s in samples])
-        design = np.hstack([x, np.ones((len(samples), 1))])
+        x, y = make_dataset([4.0, 1.0, -2.5, 0.0], 2.0, 200, rng, noise=2.0)
+        model = fit(x, y)
+        design = np.hstack([x, np.ones((len(y), 1))])
         theta, *_ = np.linalg.lstsq(design, y, rcond=None)
         np.testing.assert_allclose(model.weights, theta[:4], atol=1e-8)
         assert model.intercept == pytest.approx(theta[4], abs=1e-8)
@@ -86,40 +73,43 @@ class TestFit:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(30, 2))
         x[:, 1] = 7.0  # zero variance
-        samples = [LabeledSample(features=x[i], target=float(2 * x[i, 0])) for i in range(30)]
-        model = fit(samples)
+        model = fit(x, 2 * x[:, 0])
         assert np.all(np.isfinite(model.weights))
-        assert empirical_risk(model, samples) < 1e-9
+        assert empirical_risk(model, x, 2 * x[:, 0]) < 1e-9
 
     def test_underdetermined_falls_back_to_ridge(self):
         rng = np.random.default_rng(13)
-        samples = make_dataset([1.0, 2.0, 3.0, 4.0, 5.0], 0.0, 3, rng)
-        model = fit(samples)  # 3 samples, 5 dims
+        model = fit(*make_dataset([1.0, 2.0, 3.0, 4.0, 5.0], 0.0, 3, rng))  # 3 samples, 5 dims
         assert np.all(np.isfinite(model.weights))
         assert math.isfinite(model.intercept)
 
     def test_rejects_empty_and_ragged(self):
-        with pytest.raises(ValueError):
-            fit([])
-        with pytest.raises(ValueError, match="inconsistent"):
-            fit([
-                LabeledSample(features=np.array([1.0]), target=0.0),
-                LabeledSample(features=np.array([1.0, 2.0]), target=0.0),
-            ])
+        model = LinearModel(weights=np.array([1.0]), intercept=0.0)
+        bad_windows = [
+            (np.array([1.0, 2.0]), np.array([1.0, 2.0])),  # 1-D x
+            (np.ones((3, 1)), np.ones(2)),  # y of the wrong length
+            (np.ones((3, 1)), np.ones((3, 1))),  # 2-D y
+            (np.empty((0, 1)), np.empty(0)),  # empty window
+        ]
+        for x, y in bad_windows:
+            with pytest.raises(ValueError, match="feature matrix"):
+                fit(x, y)
+            with pytest.raises(ValueError, match="feature matrix"):
+                empirical_risk(model, x, y)
 
 
 class TestPredict:
     def test_affine_evaluation(self):
-        model = LinearModel(weights=np.array([3.0]), intercept=1.0, trained_on=1)
+        model = LinearModel(weights=np.array([3.0]), intercept=1.0)
         assert predict_batch(model, np.array([[2.0], [-1.0]])).tolist() == [7.0, -2.0]
 
     def test_constant_model(self):
-        model = LinearModel(weights=np.zeros(4), intercept=2.5, trained_on=1)
+        model = LinearModel(weights=np.zeros(4), intercept=2.5)
         assert predict_batch(model, np.array([[9.0, -1.0, 0.0, 3.0]])).tolist() == [2.5]
 
     def test_linearity(self):
         rng = np.random.default_rng(23)
-        model = LinearModel(weights=rng.normal(size=6), intercept=0.0, trained_on=1)
+        model = LinearModel(weights=rng.normal(size=6), intercept=0.0)
         for _ in range(50):
             x1, x2 = rng.normal(size=6), rng.normal(size=6)
             a = float(rng.uniform())
@@ -128,7 +118,7 @@ class TestPredict:
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(31)
-        model = LinearModel(weights=rng.normal(size=3), intercept=1.5, trained_on=1)
+        model = LinearModel(weights=rng.normal(size=3), intercept=1.5)
         x = rng.normal(size=(25, 3))
         batch = predict_batch(model, x)
         single_rows = [predict_batch(model, x[i:i + 1])[0] for i in range(25)]
@@ -138,7 +128,7 @@ class TestPredict:
         np.testing.assert_allclose(batch, dot_products, rtol=1e-13)
 
     def test_rejects_length_mismatch(self):
-        model = LinearModel(weights=np.array([1.0, 2.0]), intercept=0.0, trained_on=1)
+        model = LinearModel(weights=np.array([1.0, 2.0]), intercept=0.0)
         with pytest.raises(ValueError):
             predict_batch(model, np.zeros((1, 1)))
         with pytest.raises(ValueError):
@@ -150,35 +140,33 @@ class TestPredict:
 class TestEmpiricalRisk:
     def test_perfect_fit_is_zero(self):
         xs = np.arange(5, dtype=np.float64)
-        samples = [LabeledSample(features=np.array([x]), target=2.0 * x) for x in xs]
-        assert empirical_risk(fit(samples), samples) == pytest.approx(0.0, abs=1e-20)
+        assert empirical_risk(fit(xs[:, None], 2.0 * xs), xs[:, None], 2.0 * xs) == pytest.approx(0.0, abs=1e-20)
 
     def test_unit_residuals(self):
-        model = LinearModel(weights=np.array([0.0]), intercept=0.0, trained_on=2)
-        samples = [
-            LabeledSample(features=np.array([1.0]), target=1.0),
-            LabeledSample(features=np.array([2.0]), target=-1.0),
-        ]
-        assert empirical_risk(model, samples) == 1.0
+        model = LinearModel(weights=np.array([0.0]), intercept=0.0)
+        assert empirical_risk(model, np.array([[1.0], [2.0]]), np.array([1.0, -1.0])) == 1.0
 
     def test_matches_exact_summation_oracle(self):
         """Mean of squares agrees with exact rational accumulation to <=4 ulps."""
         rng = np.random.default_rng(47)
-        model = LinearModel(weights=rng.normal(size=4), intercept=0.3, trained_on=1)
-        samples = [
-            LabeledSample(features=rng.normal(size=4), target=float(rng.normal(0, 5)))
-            for _ in range(3000)
-        ]
-        got = empirical_risk(model, samples)
+        model = LinearModel(weights=rng.normal(size=4), intercept=0.3)
+        x = rng.normal(size=(3000, 4))
+        y = rng.normal(0, 5, size=3000)
+        got = empirical_risk(model, x, y)
         exact = Fraction(0)
-        for s in samples:
-            r = s.target - (float(model.weights @ s.features) + model.intercept)
+        for row, target in zip(x, y.tolist()):
+            r = target - (float(model.weights @ row) + model.intercept)
             exact += Fraction(r * r)  # residual squares are the shared floats
-        expected = float(exact / len(samples))
+        expected = float(exact / len(y))
         assert abs(got - expected) <= 4 * math.ulp(expected)
 
     def test_rejects_empty(self):
-        model = LinearModel(weights=np.array([1.0]), intercept=0.0, trained_on=1)
+        model = LinearModel(weights=np.array([1.0]), intercept=0.0)
         with pytest.raises(ValueError):
-            empirical_risk(model, [])
+            empirical_risk(model, np.empty((0, 1)), np.empty(0))
+
+    def test_rejects_dimension_mismatch(self):
+        model = LinearModel(weights=np.array([1.0]), intercept=0.0)
+        with pytest.raises(ValueError, match="model dimension"):
+            empirical_risk(model, np.ones((3, 2)), np.ones(3))
 
