@@ -60,6 +60,8 @@ def _bound_as_dict(bound: DecisionErrorBound) -> dict:
 def cmd_bounds(args: argparse.Namespace) -> int:
     if args.cutoff < args.b_hat_w:
         raise ValueError("--cutoff must not lie below --b-hat-w, the minimum prediction")
+    if args.n < 1:
+        raise ValueError("--n must be at least 1: the best-predicted option is always feasible")
     domain = QualityDomain(lower=args.l_q, upper=args.u_q)
     inputs = RiskBoundInputs(
         m=args.m,

@@ -19,11 +19,13 @@ Two evaluations of the same configuration are provided:
 - ``true_expected_loss``: exact expected packet-loss percentage by
   propagating expected traffic through the DAG (no sampling). Used as the
   ground-truth oracle when measuring decision error.
-- ``NetworkModel``: one stochastic period per seed, sampling every
-  packet's per-hop delivery. Each packet draw is addressed by
-  (seed, stream index), so a batch of runs is bit-identical to the same
-  runs executed one by one (as batches of one) - which is what makes SMC
-  estimates over this model reproducible and parallelizable.
+- ``NetworkModel``: one stochastic period per seed. A mote holding k
+  packets delivers Binomial(k, q) of them over its link, drawn by inverse
+  CDF from one uniform per (seed, mote), children before parents. Each
+  draw is addressed by (seed, mote id), so a batch of runs is
+  bit-identical to the same runs executed one by one (as batches of one) -
+  which is what makes SMC estimates over this model reproducible and
+  parallelizable.
 
 Packet counts per mote are ``round(rate * load)`` - deterministic given
 the environment - and each mote's route is fixed by the option, so the
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeds import bernoulli_from_stream, hash01, mix64, stream_uint64
+from .seeds import hash01, mix64, stream_uint64
 
 # Delivery probabilities are kept inside [Q_FLOOR, Q_CEIL] so no link is
 # ever a guaranteed success or a guaranteed drop.
@@ -294,15 +296,57 @@ def true_expected_loss(
     return 100.0 * (1.0 - delivered / total)
 
 
+# A mote's inverse-CDF table is one sorted uint64 array of keys
+# (k << _KEY_SHIFT) + floor(P(Binomial(k, q) <= j) * 2**_KEY_SHIFT); a key
+# reaches (k + 1) << _KEY_SHIFT when that probability is 1, so k + 1 must
+# fit in the 64 - _KEY_SHIFT bits above the fraction.
+_KEY_SHIFT = 56
+MAX_MOTE_PACKETS = (1 << (64 - _KEY_SHIFT)) - 2
+# Row k of every table starts at key index k (k - 1) / 2: the rows below
+# it hold 0, 1, ..., k - 1 keys.
+_ROW_STARTS = np.array([k * (k - 1) // 2 for k in range(MAX_MOTE_PACKETS + 1)], dtype=np.uint64)
+
+
+def _binomial_keys(cap: int, q: float) -> np.ndarray:
+    """Inverse-CDF keys of Binomial(k, q) for every k in 0..cap.
+
+    Row k holds, for j in 0..k-1, the key (k << 56) + floor(F_k(j) * 2^56),
+    where F_k(j) = P(Binomial(k, q) <= j); F_k(k) = 1 needs no key. For a
+    uniform u in [0, 2^56), the number of row-k keys at most (k << 56) + u is
+    #{j < k : F_k(j) * 2^56 <= u}, the inverse CDF at u. Every earlier row's
+    keys lie at or below k << 56 and every later row's above it, so
+    ``searchsorted(keys, (k << 56) + u, side="right") - _ROW_STARTS[k]``
+    counts exactly those.
+
+    The rows come from Pascal's rule F_k(j) = q F_{k-1}(j-1) + (1-q) F_{k-1}(j),
+    with F_{k-1}(-1) = 0 and F_{k-1}(j) = 1 for j >= k-1: only + and x of
+    IEEE doubles, so the keys have the same bits on every platform. q = 0
+    keeps every F at 1 (nothing delivered) and q = 1 every F below k at 0
+    (all delivered), both exactly.
+    """
+    r = 1.0 - q
+    fractions = []  # F_k(j) for k in 1..cap, j in 0..k-1, row by row
+    cdf = []  # the latest row
+    for _ in range(cap):
+        cdf = [r * a + q * b for a, b in zip(cdf + [1.0], [0.0] + cdf)]
+        fractions += cdf
+    counts = np.arange(cap + 1)
+    rows = np.repeat(counts.astype(np.uint64), counts)
+    return (rows << np.uint64(_KEY_SHIFT)) + np.floor(np.array(fractions) * 2.0**_KEY_SHIFT).astype(np.uint64)
+
+
 class NetworkModel:
     """One (topology, option, environment) triple as a stochastic model.
 
     ``simulate_batch`` plays one network period per seed and returns each
-    run's lost-packet fraction in [0, 1]. Each mote forwards its packets
-    over the one link the option picks. Every packet's delivery draw is
-    addressed by (run seed, stream index): mote processing order, per-mote
-    slot capacities, and stream offsets are all fixed at construction, so a
-    batch over many seeds is bit-identical to batches of one seed each.
+    run's lost-packet fraction in [0, 1]. Each mote forwards all its packets
+    over the one link the option picks, so given the k packets it holds in a
+    run (its own plus those its children delivered), the count it delivers
+    to its parent is Binomial(k, q). Run s draws that count by inverse CDF
+    from one uniform per mote, ``stream_uint64(s, mote_id)``, processing
+    children before parents. The tables for every reachable k are built at
+    construction, so a batch over many seeds is bit-identical to batches of
+    one seed each.
     """
 
     def __init__(
@@ -313,23 +357,28 @@ class NetworkModel:
         delivery_override: float | None = None,
     ):
         chosen = _chosen_links(topology, option, env, delivery_override)
-        self._generated = _generated_packets(topology, env)
-        self._total_generated = sum(self._generated)
+        generated = _generated_packets(topology, env)
+        self._total_generated = sum(generated)
+        self._mote_ids = np.arange(1, topology.mote_count + 1, dtype=np.uint64)
 
-        # Per-mote plan rows, children before parents (parent ids are
-        # smaller by construction): (mote_id, cap, stream_base, parent, q).
-        # Each slot keeps two stream indices, the delivery draw at the
-        # second, as when the first drew a route: this keeps outputs
-        # byte-identical to the per-packet route sampler.
+        # Plan rows, children before parents (parent ids are smaller by
+        # construction): (mote_id, generated, parent, keys). cap is
+        # the most packets the mote can hold in one run.
         inbound = [0] * (topology.mote_count + 1)
         self._plan = []
-        base = 0
         for mote_id in range(topology.mote_count, 0, -1):
             parent, q = chosen[mote_id - 1]
-            cap = self._generated[mote_id - 1] + inbound[mote_id]
+            cap = generated[mote_id - 1] + inbound[mote_id]
+            if cap == 0:
+                continue
+            if cap > MAX_MOTE_PACKETS:
+                raise ValueError(
+                    f"mote {mote_id} may hold {cap} packets in one run, above {MAX_MOTE_PACKETS}"
+                )
+            if not 0.0 <= q <= 1.0:
+                raise ValueError(f"delivery probability {q} outside [0, 1]")
             inbound[parent] += cap
-            self._plan.append((mote_id, cap, base, parent, q))
-            base += 2 * cap
+            self._plan.append((mote_id, generated[mote_id - 1], parent, _binomial_keys(cap, q)))
 
     def simulate_batch(self, seeds: np.ndarray) -> np.ndarray:
         seeds = np.asarray(seeds, dtype=np.uint64)
@@ -337,18 +386,14 @@ class NetworkModel:
         total = self._total_generated
         if total == 0:
             return np.zeros(n_runs, dtype=np.float64)
-        arrivals = [np.zeros(n_runs, dtype=np.int64) for _ in range(len(self._generated) + 1)]
-        seeds_col = seeds[:, None]
-        for mote_id, cap, base, parent, q in self._plan:
-            if cap == 0:
-                continue
-            packets = arrivals[mote_id] + self._generated[mote_id - 1]
-            slots = np.arange(cap, dtype=np.int64)
-            active = slots[None, :] < packets[:, None]
-            stream = np.uint64(base + 1) + np.uint64(2) * slots.astype(np.uint64)
-            delivery_draws = stream_uint64(seeds_col, stream[None, :])
-            delivered = active & bernoulli_from_stream(delivery_draws, q)
-            arrivals[parent] += delivered.sum(axis=1)
+        # Row m-1: the 56-bit uniform of mote m in every run.
+        uniforms = stream_uint64(seeds[None, :], self._mote_ids[:, None]) >> np.uint64(64 - _KEY_SHIFT)
+        arrivals = np.zeros((len(self._mote_ids) + 1, n_runs), dtype=np.uint64)
+        shift = np.uint64(_KEY_SHIFT)
+        for mote_id, generated, parent, keys in self._plan:
+            packets = arrivals[mote_id] + generated
+            index = np.searchsorted(keys, (packets << shift) | uniforms[mote_id - 1], side="right")
+            arrivals[parent] += index.astype(np.uint64) - _ROW_STARTS[packets]
         lost = total - arrivals[0]
         return lost.astype(np.float64) / total
 

@@ -1,7 +1,7 @@
 """Deterministic seed derivation and counter-based uniform streams.
 
 All randomness in this package is a pure function of integer seeds: a run,
-a cycle, or a single packet draw is addressed by (seed, index) and hashed
+a cycle, or one mote's draw in one run is addressed by (seed, index) and hashed
 through a splitmix64-style avalanche. There is no stateful generator, so
 results are independent of execution order, chunking, or parallelism, and
 portable across platforms.

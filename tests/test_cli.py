@@ -74,6 +74,8 @@ class TestBoundsCommand:
             ("--kappa-scale", "nan"),
             ("--epsilon", "1.5"),
             ("--epsilon", "nan"),
+            ("--n", "0"),
+            ("--n", "-3"),
         ):
             assert main(self.FLAGS + [flag, value]) == 2, (flag, value)
             captured = capsys.readouterr()

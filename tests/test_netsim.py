@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from adaptlab import netsim
 from adaptlab.netsim import (
+    MAX_MOTE_PACKETS,
     Environment,
     EnvironmentWalk,
     Link,
@@ -24,7 +26,7 @@ from adaptlab.netsim import (
     option_from_id,
     true_expected_loss,
 )
-from adaptlab.seeds import derive_seeds
+from adaptlab.seeds import derive_seeds, stream_uint64
 
 DESK = desk_topology()
 FULL = full_topology()
@@ -35,6 +37,17 @@ def one_hop_topology(rate=1):
         name="one-hop",
         motes=(Mote(1, rate=rate, links=(Link(0, LinkParams(base_snr=5.0)),)),),
     )
+
+
+def assert_binomial_histogram(counts, n, p):
+    """Each count in 0..n occurs within 5 sigma of its Binomial(n, p) share."""
+    runs = len(counts)
+    observed = np.bincount(counts, minlength=n + 1)
+    assert len(observed) == n + 1
+    for j in range(n + 1):
+        pmf = math.comb(n, j) * p**j * (1.0 - p) ** (n - j)
+        sigma = math.sqrt(runs * pmf * (1.0 - pmf))
+        assert abs(observed[j] - runs * pmf) <= 5.0 * sigma + 1e-9, (j, observed[j], runs * pmf)
 
 
 class TestEnumeration:
@@ -229,6 +242,55 @@ class TestSimulation:
             truth = true_expected_loss(DESK, option, env)
             assert abs(mc - truth) < 0.4  # ~5 sigma at this sample size
 
+    def test_one_hop_lost_counts_are_binomial(self):
+        n, runs = 6, 200_000
+        topo = one_hop_topology(rate=n)
+        env = initial_environment(topo)
+        for q in (0.3, 0.85):
+            model = NetworkModel(topo, option_from_id(topo, 0), env, delivery_override=q)
+            lost = np.rint(model.simulate_batch(derive_seeds(11, runs)) * n).astype(np.int64)
+            assert_binomial_histogram(lost, n, 1.0 - q)
+
+    def test_two_hops_compose_to_binomial_of_q_squared(self):
+        # Mote 2 generates every packet and relays through mote 1, which
+        # generates none: what mote 1 passes on depends only on what it got.
+        n, runs, q = 5, 200_000, 0.7
+        topo = NetworkTopology(
+            name="chain",
+            motes=(
+                Mote(1, rate=0, links=(Link(0, LinkParams(base_snr=5.0)),)),
+                Mote(2, rate=n, links=(Link(1, LinkParams(base_snr=5.0)),)),
+            ),
+        )
+        env = initial_environment(topo)
+        model = NetworkModel(topo, option_from_id(topo, 0), env, delivery_override=q)
+        delivered = n - np.rint(model.simulate_batch(derive_seeds(12, runs)) * n).astype(np.int64)
+        assert_binomial_histogram(delivered, n, q * q)
+
+    def test_one_draw_per_mote_and_run(self, monkeypatch):
+        drawn = []
+
+        def counting(seeds, indices):
+            draws = stream_uint64(seeds, indices)
+            drawn.append(draws.size)
+            return draws
+
+        monkeypatch.setattr(netsim, "stream_uint64", counting)
+        env = initial_environment(DESK)
+        model = NetworkModel(DESK, option_from_id(DESK, 201), env)
+        model.simulate_batch(derive_seeds(4, 1000))
+        assert drawn == [1000 * DESK.mote_count]
+
+    def test_rejects_counts_the_table_key_cannot_hold(self):
+        topo = one_hop_topology(rate=MAX_MOTE_PACKETS + 1)
+        with pytest.raises(ValueError, match="packets"):
+            NetworkModel(topo, option_from_id(topo, 0), initial_environment(topo))
+        topo = one_hop_topology(rate=MAX_MOTE_PACKETS)
+        model = NetworkModel(topo, option_from_id(topo, 0), initial_environment(topo), delivery_override=0.0)
+        assert np.all(model.simulate_batch(derive_seeds(6, 20)) == 1.0)
+        with pytest.raises(ValueError, match="probability"):
+            NetworkModel(topo, option_from_id(topo, 0), initial_environment(topo), delivery_override=1.5)
+
     def test_zero_traffic_runs_return_zero(self):
         topo = one_hop_topology(rate=1)
         env = Environment(interference=(2.0,), load=(0.01,), cycle=0)
@@ -239,8 +301,11 @@ class TestSimulation:
 class TestPinnedOutputs:
     """Exact outputs on desk at one environment, one option per split choice.
 
-    These pin the stream address of every delivery draw and the oracle's
-    float arithmetic: a change to either moves these numbers.
+    These pin the simulator's draws - one uniform per (run, mote) at stream
+    index mote_id, turned into that mote's delivered count by its
+    Binomial(k, q) table - and the oracle's float arithmetic: a change to
+    the stream index, the tables, the route or the link probability moves
+    these numbers.
     """
 
     ENV = Environment(
@@ -251,10 +316,10 @@ class TestPinnedOutputs:
     GENERATED = 21
     # option id: (lost packets per seed of derive_seeds(2024, 8), oracle loss)
     EXPECTED = {
-        45: ([5, 4, 3, 3, 6, 7, 5, 7], 20.109264008786788),
-        83: ([0, 5, 3, 3, 2, 7, 2, 4], 17.20773609076225),
-        177: ([3, 2, 2, 2, 3, 4, 3, 6], 20.03304831444146),
-        222: ([1, 3, 3, 1, 4, 3, 3, 4], 13.565335787257403),
+        45: ([2, 8, 6, 4, 5, 8, 4, 2], 20.109264008786788),
+        83: ([4, 5, 4, 3, 4, 5, 1, 3], 17.20773609076225),
+        177: ([1, 6, 6, 4, 5, 7, 5, 2], 20.03304831444146),
+        222: ([3, 3, 2, 2, 1, 5, 1, 2], 13.565335787257403),
     }
 
     def test_options_cover_every_split_choice(self):
