@@ -19,7 +19,7 @@ from .bounds import (
     vc_dimension_linear,
 )
 from .engine import EngineConfig, cutoff, run_experiment
-from .netsim import Environment, NetworkModel, desk_topology, option_from_id, true_expected_loss
+from .netsim import Environment, NetworkModel, NetworkView, desk_topology, true_expected_loss
 from .regression import empirical_risk, fit
 from .smc import SmcConfig, coverage_experiment, required_samples
 
@@ -29,6 +29,7 @@ __all__ = [
     "EngineConfig",
     "Environment",
     "NetworkModel",
+    "NetworkView",
     "QualityDomain",
     "RiskBoundInputs",
     "SmcConfig",
@@ -38,7 +39,6 @@ __all__ = [
     "desk_topology",
     "empirical_risk",
     "fit",
-    "option_from_id",
     "prob_any_feasible_retained",
     "reduction_survival_prob",
     "required_samples",

@@ -158,6 +158,11 @@ def load_experiment_config(path: str) -> ExperimentSpec:
         raise ValueError("output_summary must be a nonempty path string when given")
     if output_summary is not None and os.path.realpath(output_summary) == os.path.realpath(output_csv):
         raise ValueError("output_summary and output_csv must be different files")
+    for key in ("output_csv", "output_summary"):
+        if data.get(key) is not None:
+            directory = os.path.dirname(os.path.abspath(data[key]))
+            if not os.path.isdir(directory):
+                raise ValueError(f"{key} directory does not exist: {directory}")
 
     return ExperimentSpec(
         topology=topology,
@@ -274,6 +279,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_smc_selftest(args: argparse.Namespace) -> int:
+    if not 0 <= args.seed < 2**64:
+        raise ValueError("--seed must be an integer in [0, 2^64)")
     config = SmcConfig(epsilon=args.epsilon, alpha=args.alpha, kappa_scale=args.kappa_scale)
     report = coverage_experiment(args.mean, config, args.repetitions, args.seed)
     print(json.dumps(_sig_floats(report), indent=2))

@@ -39,7 +39,7 @@ from .netsim import (
     EnvironmentWalk,
     NetworkModel,
     NetworkTopology,
-    enumerate_options,
+    NetworkView,
     environment_step,
     feature_dim,
     features,
@@ -137,7 +137,7 @@ class AdaptationEngine:
         self.config = config
         self.walk = walk if walk is not None else EnvironmentWalk()
         self.base_seed = base_seed
-        self.options = enumerate_options(topology)
+        self.options = range(topology.option_count)
         self.vc_dim = vc_dimension_linear(feature_dim(topology))
         self.window_cap = config.window_factor * len(self.options)
         self.env: Environment = initial_environment(topology)
@@ -156,10 +156,11 @@ class AdaptationEngine:
         env = self.env
         smc_seed = mix64(self.base_seed, _SMC_SEED_SALT, t)
 
+        view = NetworkView(self.topology, env)
         design = features(self.topology, env)
         warmup = t <= self.config.warmup_cycles
         if warmup:
-            candidate_ids = list(range(len(self.options)))
+            candidate_ids = list(self.options)
             cut = None
             best_prediction = None
             predictions = None
@@ -172,7 +173,7 @@ class AdaptationEngine:
             candidate_ids = np.flatnonzero(predictions <= cut).tolist()
 
         verified = verify_options(
-            [(oid, NetworkModel(self.topology, self.options[oid], env)) for oid in candidate_ids],
+            ((oid, NetworkModel(view, oid)) for oid in candidate_ids),  # built one at a time
             self.config.smc,
             smc_seed,
             workers=self.config.workers,
@@ -191,9 +192,9 @@ class AdaptationEngine:
 
         b_r = b_w = measured = None
         if self.config.evaluation_mode:
-            truths = [true_expected_loss(self.topology, o, env) for o in self.options]
-            b_w = min(truths)
-            b_r = truths[selected_id]
+            truths = true_expected_loss(view)
+            b_w = float(truths.min())
+            b_r = float(truths[selected_id])
             measured = b_r - b_w
         holds = None
         if bound is not None and measured is not None:

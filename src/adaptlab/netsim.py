@@ -14,14 +14,15 @@ links carries all of its generated and relayed traffic. So every mote
 forwards over exactly one link. Bit i of an option id is the i-th of these
 choices, so option ids are stable and bijective.
 
-Two evaluations of the same configuration are provided:
+Both evaluations start from a ``NetworkView``, the network at one
+environment, built once per adaptation cycle:
 
-- ``true_expected_loss``: exact expected packet-loss percentage by
-  propagating expected traffic through the DAG (no sampling). Used as the
-  ground-truth oracle when measuring decision error.
-- ``NetworkModel``: one stochastic period per seed. A mote holding k
-  packets delivers Binomial(k, q) of them over its link, drawn by inverse
-  CDF from one uniform per (seed, mote), children before parents. Each
+- ``true_expected_loss``: exact expected packet-loss percentage of every
+  option, by propagating expected traffic through the DAG (no sampling).
+  Used as the ground-truth oracle when measuring decision error.
+- ``NetworkModel``: one option, one stochastic period per seed. A mote
+  holding k packets delivers Binomial(k, q) of them over its link, drawn by
+  inverse CDF from one uniform per (seed, mote), children before parents. Each
   draw is addressed by (seed, mote id), so a batch of runs is
   bit-identical to the same runs executed one by one (as batches of one) -
   which is what makes SMC estimates over this model reproducible and
@@ -124,35 +125,6 @@ class NetworkTopology:
 
 
 @dataclass(frozen=True)
-class AdaptationOption:
-    """One full network configuration, bijectively identified by ``option_id``.
-
-    Every setting is one bit. power_levels holds one per mote (ascending
-    mote id): 0 for low, 1 for high transmission power. split_choices holds
-    one per two-parent mote (ascending id): 1 sends all of that mote's
-    traffic over its first-listed link, 0 over its second.
-    """
-
-    option_id: int
-    power_levels: tuple[int, ...]
-    split_choices: tuple[int, ...]
-
-
-def option_from_id(topology: NetworkTopology, option_id: int) -> AdaptationOption:
-    """Decode an option id: bit i is the i-th setting, powers before splits."""
-    if not 0 <= option_id < topology.option_count:
-        raise ValueError(f"option_id {option_id} outside [0, {topology.option_count})")
-    k = topology.mote_count
-    bits = tuple((option_id >> i) & 1 for i in range(k + len(topology.split_motes)))
-    return AdaptationOption(option_id=option_id, power_levels=bits[:k], split_choices=bits[k:])
-
-
-def enumerate_options(topology: NetworkTopology) -> list[AdaptationOption]:
-    """The complete adaptation space, ids 0..option_count-1 in order."""
-    return [option_from_id(topology, i) for i in range(topology.option_count)]
-
-
-@dataclass(frozen=True)
 class EnvironmentWalk:
     """Step sizes and clamps of the environment's random walk."""
 
@@ -181,7 +153,6 @@ class Environment:
 
     interference: tuple[float, ...]
     load: tuple[float, ...]
-    cycle: int = 0
 
 
 # Every link's interference and every mote's load at cycle 0.
@@ -193,7 +164,6 @@ def initial_environment(topology: NetworkTopology) -> Environment:
     return Environment(
         interference=(INITIAL_INTERFERENCE,) * topology.link_count,
         load=(INITIAL_LOAD,) * topology.mote_count,
-        cycle=0,
     )
 
 
@@ -210,7 +180,7 @@ def environment_step(env: Environment, walk: EnvironmentWalk, seed: int) -> Envi
             value + (2.0 * hash01(base, 2, j) - 1.0) * walk.load_step))
         for j, value in enumerate(env.load)
     )
-    return Environment(interference=interference, load=load, cycle=env.cycle + 1)
+    return Environment(interference=interference, load=load)
 
 
 def link_delivery_prob(params: LinkParams, power_level: int, interference: float) -> float:
@@ -229,7 +199,7 @@ def features(topology: NetworkTopology, env: Environment) -> np.ndarray:
     """Feature matrix of the whole adaptation space, row i for option id i.
 
     Row layout: bit i of the option id in column i, as in
-    ``option_from_id`` (power bit per mote, then split bit per two-parent
+    ``NetworkView.route`` (power bit per mote, then split bit per two-parent
     mote, ascending id), then interference per link (canonical link order)
     and load per mote (ascending id).
     """
@@ -243,56 +213,78 @@ def feature_dim(topology: NetworkTopology) -> int:
     return 2 * topology.mote_count + len(topology.split_motes) + topology.link_count
 
 
-def _generated_packets(topology: NetworkTopology, env: Environment) -> list[int]:
-    # round() is banker's rounding; fine, it just needs to be deterministic
-    # and shared with the analytic oracle.
-    return [max(0, round(m.rate * env.load[m.mote_id - 1])) for m in topology.motes]
+class NetworkView:
+    """The network at one environment, computed once per cycle for every
+    option's oracle value and model: each mote's generated packets and the
+    delivery probability q of every (link, power) pair, or
+    ``delivery_override`` for all of them. Binomial tables are built on
+    first use and shared by the view's models for as long as it lives.
+    """
+
+    def __init__(self, topology: NetworkTopology, env: Environment, delivery_override: float | None = None):
+        if delivery_override is not None and not 0.0 <= delivery_override <= 1.0:
+            raise ValueError(f"delivery probability {delivery_override} outside [0, 1]")
+        self.topology = topology
+        # round() is banker's rounding; fine, it just needs to be deterministic.
+        self.generated = [max(0, round(m.rate * env.load[m.mote_id - 1])) for m in topology.motes]
+        interference = dict(zip(topology.link_order, env.interference))
+
+        def qs(mote: Mote, link: Link) -> tuple[float, float]:
+            if delivery_override is not None:
+                return (delivery_override, delivery_override)
+            level = interference[mote.mote_id, link.parent]
+            return (link_delivery_prob(link.params, 0, level), link_delivery_prob(link.params, 1, level))
+
+        # Per mote (ascending id): the id bit of its route choice (None with
+        # one link), and per link in declared order (parent, (q low, q high)).
+        split_bits = {mote_id: topology.mote_count + i for i, mote_id in enumerate(topology.split_motes)}
+        self.choices = [
+            (split_bits.get(mote.mote_id), [(link.parent, qs(mote, link)) for link in mote.links])
+            for mote in topology.motes
+        ]
+        self._tables: dict[tuple[int, float], np.ndarray] = {}
+
+    def route(self, option_id: int) -> list[tuple[int, float]]:
+        """Per mote (ascending id), ``(parent, q)`` of the one link the option
+        routes its traffic over (split bit 1 picks the first-listed link, 0
+        the second), at the power its power bit sets (1 for high)."""
+        if not 0 <= option_id < self.topology.option_count:
+            raise ValueError(f"option_id {option_id} outside [0, {self.topology.option_count})")
+        route = []
+        for power_bit, (split_bit, links) in enumerate(self.choices):
+            parent, qs = links[0 if split_bit is None else 1 - ((option_id >> split_bit) & 1)]
+            route.append((parent, qs[(option_id >> power_bit) & 1]))
+        return route
+
+    def binomial_keys(self, cap: int, q: float) -> np.ndarray:
+        """``_binomial_keys(cap, q)``, built once per view."""
+        if (cap, q) not in self._tables:
+            self._tables[cap, q] = _binomial_keys(cap, q)
+        return self._tables[cap, q]
 
 
-def _chosen_links(
-    topology: NetworkTopology,
-    option: AdaptationOption,
-    env: Environment,
-    delivery_override: float | None,
-) -> list[tuple[int, float]]:
-    """Per mote (ascending id), ``(parent, q)`` of the one link the option
-    routes its traffic over: split bit 1 picks the first-listed link, 0 the
-    second. q is that link's delivery probability, or ``delivery_override``."""
-    splits = iter(option.split_choices)
-    chosen = []
-    link_index = 0  # canonical index of the mote's first link
-    for mote, power in zip(topology.motes, option.power_levels):
-        pick = 0 if len(mote.links) == 1 else 1 - next(splits)
-        link = mote.links[pick]
-        q = delivery_override
-        if q is None:
-            q = link_delivery_prob(link.params, power, env.interference[link_index + pick])
-        chosen.append((link.parent, q))
-        link_index += len(mote.links)
-    return chosen
-
-
-def true_expected_loss(
-    topology: NetworkTopology,
-    option: AdaptationOption,
-    env: Environment,
-    delivery_override: float | None = None,
-) -> float:
-    """Exact expected packet-loss percentage for one configuration.
+def true_expected_loss(view: NetworkView) -> np.ndarray:
+    """Exact expected packet-loss percentage of every option, entry i for
+    option id i.
 
     Closed form: the probability a packet at mote i reaches the gateway is
     reach(i) = q * reach(parent) over the link the option picks for i,
     evaluated in ascending mote order (parents first). Loss is
     100 * (1 - delivered/generated) over deterministic per-mote packet counts.
+    One array pass over the id bits does, for every option, the float
+    operations of ``route`` and this rule in the same order.
     """
-    generated = _generated_packets(topology, env)
-    total = sum(generated)
+    ids = np.arange(view.topology.option_count)
+    total = sum(view.generated)
     if total == 0:
-        return 0.0
-    reach = [1.0]  # by node id; the gateway's is 1
-    for parent, q in _chosen_links(topology, option, env, delivery_override):
-        reach.append(q * reach[parent])
-    delivered = sum(g * r for g, r in zip(generated, reach[1:]))
+        return np.zeros(len(ids))
+    reach = [np.ones(len(ids))]  # by node id; the gateway's is 1
+    for power_bit, (split_bit, links) in enumerate(view.choices):
+        hops = [np.array(qs)[(ids >> power_bit) & 1] * reach[parent] for parent, qs in links]
+        reach.append(hops[0] if split_bit is None else np.where((ids >> split_bit) & 1 == 1, *hops))
+    delivered = 0.0  # summed mote by mote in ascending id
+    for g, r in zip(view.generated, reach[1:]):
+        delivered = delivered + g * r
     return 100.0 * (1.0 - delivered / total)
 
 
@@ -336,7 +328,7 @@ def _binomial_keys(cap: int, q: float) -> np.ndarray:
 
 
 class NetworkModel:
-    """One (topology, option, environment) triple as a stochastic model.
+    """One option of a network view as a stochastic model.
 
     ``simulate_batch`` plays one network period per seed and returns each
     run's lost-packet fraction in [0, 1]. Each mote forwards all its packets
@@ -344,30 +336,24 @@ class NetworkModel:
     run (its own plus those its children delivered), the count it delivers
     to its parent is Binomial(k, q). Run s draws that count by inverse CDF
     from one uniform per mote, ``stream_uint64(s, mote_id)``, processing
-    children before parents. The tables for every reachable k are built at
-    construction, so a batch over many seeds is bit-identical to batches of
-    one seed each.
+    children before parents. The tables for every reachable k are taken from
+    the view at construction, so a batch over many seeds is bit-identical to
+    batches of one seed each.
     """
 
-    def __init__(
-        self,
-        topology: NetworkTopology,
-        option: AdaptationOption,
-        env: Environment,
-        delivery_override: float | None = None,
-    ):
-        chosen = _chosen_links(topology, option, env, delivery_override)
-        generated = _generated_packets(topology, env)
+    def __init__(self, view: NetworkView, option_id: int):
+        route = view.route(option_id)
+        generated = view.generated
         self._total_generated = sum(generated)
-        self._mote_ids = np.arange(1, topology.mote_count + 1, dtype=np.uint64)
+        self._mote_ids = np.arange(1, len(generated) + 1, dtype=np.uint64)
 
         # Plan rows, children before parents (parent ids are smaller by
         # construction): (mote_id, generated, parent, keys). cap is
         # the most packets the mote can hold in one run.
-        inbound = [0] * (topology.mote_count + 1)
+        inbound = [0] * (len(generated) + 1)
         self._plan = []
-        for mote_id in range(topology.mote_count, 0, -1):
-            parent, q = chosen[mote_id - 1]
+        for mote_id in range(len(generated), 0, -1):
+            parent, q = route[mote_id - 1]
             cap = generated[mote_id - 1] + inbound[mote_id]
             if cap == 0:
                 continue
@@ -375,10 +361,8 @@ class NetworkModel:
                 raise ValueError(
                     f"mote {mote_id} may hold {cap} packets in one run, above {MAX_MOTE_PACKETS}"
                 )
-            if not 0.0 <= q <= 1.0:
-                raise ValueError(f"delivery probability {q} outside [0, 1]")
             inbound[parent] += cap
-            self._plan.append((mote_id, generated[mote_id - 1], parent, _binomial_keys(cap, q)))
+            self._plan.append((mote_id, generated[mote_id - 1], parent, view.binomial_keys(cap, q)))
 
     def simulate_batch(self, seeds: np.ndarray) -> np.ndarray:
         seeds = np.asarray(seeds, dtype=np.uint64)

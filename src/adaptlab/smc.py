@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -107,7 +107,7 @@ def estimate(model: StochasticModel, config: SmcConfig, base_seed: int, workers:
 
 
 def verify_options(
-    options: list[tuple[int, StochasticModel]],
+    options: Iterable[tuple[int, StochasticModel]],
     config: SmcConfig,
     base_seed: int,
     workers: int = 1,
@@ -115,12 +115,14 @@ def verify_options(
     """Estimate every (id, model) pair, seeding each option from its id.
 
     Per-option seeds depend only on (base_seed, id), so the estimates are
-    identical however the input list is ordered.
+    identical however the input is ordered. Each model is released before
+    the next pair is drawn, so a generator of pairs keeps one model alive.
     """
-    return [
-        (option_id, estimate(model, config, mix64(base_seed, option_id), workers))
-        for option_id, model in options
-    ]
+    verified = []
+    for option_id, model in options:
+        verified.append((option_id, estimate(model, config, mix64(base_seed, option_id), workers)))
+        del model
+    return verified
 
 
 class BernoulliModel:

@@ -21,6 +21,7 @@ from mpmath import mp
 from adaptlab import (
     Environment,
     NetworkModel,
+    NetworkView,
     QualityDomain,
     RiskBoundInputs,
     SmcConfig,
@@ -30,7 +31,6 @@ from adaptlab import (
     desk_topology,
     empirical_risk,
     fit,
-    option_from_id,
     prob_any_feasible_retained,
     reduction_survival_prob,
     required_samples,
@@ -183,13 +183,14 @@ def test_criterion_6_simulator_matches_analytic_loss(capsys):
         seeds = np.arange(200_000, dtype=np.uint64)
         worst = 0.0
         for _ in range(20):
-            option = option_from_id(topology, int(rng.integers(topology.option_count)))
+            option_id = int(rng.integers(topology.option_count))
             env = Environment(
                 interference=tuple(float(v) for v in rng.uniform(0.0, 6.0, topology.link_count)),
                 load=tuple(float(v) for v in rng.uniform(0.5, 2.0, topology.mote_count)),
             )
-            analytic = true_expected_loss(topology, option, env)
-            monte_carlo = 100.0 * float(np.mean(NetworkModel(topology, option, env).simulate_batch(seeds)))
+            view = NetworkView(topology, env)
+            analytic = float(true_expected_loss(view)[option_id])
+            monte_carlo = 100.0 * float(np.mean(NetworkModel(view, option_id).simulate_batch(seeds)))
             worst = max(worst, abs(monte_carlo - analytic))
             assert abs(monte_carlo - analytic) <= 0.25, (analytic, monte_carlo)
         info["pairs"] = 20

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from adaptlab import cli
 from adaptlab.cli import CSV_HEADER, load_experiment_config, main, section_defaults
 from adaptlab.engine import EngineConfig
 from adaptlab.netsim import EnvironmentWalk
@@ -248,6 +249,32 @@ class TestRunCommand:
         assert main(["run", str(config_path)]) == 2
         assert not (tmp_path / "out.csv").exists()
 
+    def test_missing_output_directory_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("run_experiment must not start")
+
+        monkeypatch.setattr(cli, "run_experiment", never)
+        for key, target in (
+            ("output_csv", tmp_path / "no-such-dir" / "out.csv"),
+            ("output_summary", tmp_path / "no-such-dir" / "summary.json"),
+        ):
+            config_path, _ = write_config(tmp_path, **{key: str(target)})
+            assert main(["run", str(config_path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{key} directory does not exist: {target.parent}" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_failed_publish_removes_its_temporaries(self, tmp_path, capsys):
+        # The summary's target is a directory: its temporary is written, then
+        # cannot replace it.
+        (tmp_path / "summary").mkdir()
+        config_path, _ = write_config(tmp_path, output_summary=str(tmp_path / "summary"))
+        assert main(["run", str(config_path)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+        assert not list((tmp_path / "summary").iterdir())
+
     def test_failed_run_keeps_existing_output(self, tmp_path, capsys):
         previous = b"cycle\n1\n"
         (tmp_path / "out.csv").write_bytes(previous)
@@ -294,6 +321,14 @@ class TestSelftestCommand:
     def test_zero_repetitions_is_usage_error(self, capsys):
         assert main(["smc-selftest", "--repetitions", "0"]) == 2
         assert "repetitions" in capsys.readouterr().err
+
+    def test_seed_outside_64_bits_is_usage_error(self, capsys):
+        for seed in ("-1", str(2**64)):
+            assert main(["smc-selftest", "--repetitions", "10", "--seed", seed]) == 2, seed
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--seed" in captured.err
+        assert main(["smc-selftest", "--epsilon", "0.06", "--repetitions", "10", "--seed", str(2**64 - 1)]) == 0
 
     def test_bad_mean_is_usage_error(self, capsys):
         assert main(["smc-selftest", "--mean", "1.5", "--repetitions", "10"]) == 2

@@ -1,11 +1,13 @@
 """Network simulator: enumeration, link model, oracle consistency, environment."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from adaptlab import netsim
+from adaptlab import engine, netsim
+from adaptlab.engine import AdaptationEngine, EngineConfig
 from adaptlab.netsim import (
     MAX_MOTE_PACKETS,
     Environment,
@@ -15,18 +17,18 @@ from adaptlab.netsim import (
     Mote,
     NetworkModel,
     NetworkTopology,
+    NetworkView,
     desk_topology,
-    enumerate_options,
     environment_step,
     feature_dim,
     features,
     full_topology,
     initial_environment,
     link_delivery_prob,
-    option_from_id,
     true_expected_loss,
 )
 from adaptlab.seeds import derive_seeds, stream_uint64
+from adaptlab.smc import SmcConfig
 
 DESK = desk_topology()
 FULL = full_topology()
@@ -37,6 +39,36 @@ def one_hop_topology(rate=1):
         name="one-hop",
         motes=(Mote(1, rate=rate, links=(Link(0, LinkParams(base_snr=5.0)),)),),
     )
+
+
+def reference_loss(topology, env, option_id, delivery_override=None):
+    """The oracle for one option as a plain loop over the topology's links:
+    bit i of the id is mote i+1's power, then one bit per two-parent mote
+    (1 picks its first-listed link); reach(mote) = q * reach(parent), parents
+    first, and the delivered packets are added mote by mote."""
+    generated = [max(0, round(m.rate * env.load[m.mote_id - 1])) for m in topology.motes]
+    total = sum(generated)
+    if total == 0:
+        return 0.0
+    reach = [1.0]
+    link_index = 0  # canonical index of the mote's first link
+    split_bit = topology.mote_count
+    for mote in topology.motes:
+        pick = 0
+        if len(mote.links) == 2:
+            pick = 1 - ((option_id >> split_bit) & 1)
+            split_bit += 1
+        link = mote.links[pick]
+        power = (option_id >> (mote.mote_id - 1)) & 1
+        q = delivery_override
+        if q is None:
+            q = link_delivery_prob(link.params, power, env.interference[link_index + pick])
+        reach.append(q * reach[link.parent])
+        link_index += len(mote.links)
+    delivered = 0.0
+    for g, r in zip(generated, reach[1:]):
+        delivered = delivered + g * r
+    return 100.0 * (1.0 - delivered / total)
 
 
 def assert_binomial_histogram(counts, n, p):
@@ -54,22 +86,24 @@ class TestEnumeration:
     def test_space_sizes(self):
         assert DESK.option_count == 256
         assert FULL.option_count == 4096
-        assert len(enumerate_options(DESK)) == 256
+        assert len(true_expected_loss(NetworkView(DESK, initial_environment(DESK)))) == 256
 
     def test_ids_are_sequential(self):
-        options = enumerate_options(DESK)
-        assert [o.option_id for o in options] == list(range(256))
+        settings = features(DESK, initial_environment(DESK))[:, :8].astype(np.int64)
+        assert (settings @ (1 << np.arange(8))).tolist() == list(range(256))
 
     def test_encoding_is_injective(self):
         for topo in (DESK, FULL):
-            seen = {(o.power_levels, o.split_choices) for o in enumerate_options(topo)}
+            width = topo.mote_count + len(topo.split_motes)
+            seen = {tuple(row) for row in features(topo, initial_environment(topo))[:, :width]}
             assert len(seen) == topo.option_count
 
     def test_rejects_out_of_range_id(self):
+        view = NetworkView(DESK, initial_environment(DESK))
         with pytest.raises(ValueError):
-            option_from_id(DESK, 256)
+            NetworkModel(view, 256)
         with pytest.raises(ValueError):
-            option_from_id(DESK, -1)
+            NetworkModel(view, -1)
 
     def test_split_fractions_span_unit_interval(self):
         env = initial_environment(DESK)
@@ -78,9 +112,18 @@ class TestEnumeration:
         assert fractions == {(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)}
 
     def test_id_bits_are_the_settings(self):
-        option = option_from_id(DESK, 0b10_000110)
-        assert option.power_levels == (0, 1, 1, 0, 0, 0)
-        assert option.split_choices == (0, 1)
+        # powers (0, 1, 1, 0, 0, 0); mote 4 takes its second link, mote 5 its first
+        env = initial_environment(DESK)
+        expected = [
+            (link.parent, link_delivery_prob(link.params, power, env.interference[index]))
+            for link, power, index in zip(
+                [DESK.motes[0].links[0], DESK.motes[1].links[0], DESK.motes[2].links[0],
+                 DESK.motes[3].links[1], DESK.motes[4].links[0], DESK.motes[5].links[0]],
+                (0, 1, 1, 0, 0, 0),
+                (0, 1, 2, 4, 5, 7),
+            )
+        ]
+        assert NetworkView(DESK, env).route(0b10_000110) == expected
 
 
 class TestTopologyValidation:
@@ -141,21 +184,20 @@ class TestLinkModel:
 class TestAnalyticOracle:
     def test_perfect_links_lose_nothing(self):
         env = initial_environment(DESK)
-        for option in enumerate_options(DESK)[:16]:
-            assert true_expected_loss(DESK, option, env, delivery_override=1.0) == 0.0
+        losses = true_expected_loss(NetworkView(DESK, env, delivery_override=1.0))
+        assert np.all(losses[:16] == 0.0)
 
     def test_one_hop_closed_form(self):
         topo = one_hop_topology(rate=1)
         env = initial_environment(topo)
-        option = option_from_id(topo, 0)
         for q in (0.25, 0.5, 0.9):
-            got = true_expected_loss(topo, option, env, delivery_override=q)
+            got = true_expected_loss(NetworkView(topo, env, delivery_override=q))[0]
             assert got == pytest.approx(100.0 * (1.0 - q), rel=1e-12)
 
     def test_zero_traffic_is_zero_loss(self):
         topo = one_hop_topology(rate=1)
-        env = Environment(interference=(2.0,), load=(0.01,), cycle=0)  # round(1*0.01) = 0 packets
-        assert true_expected_loss(topo, option_from_id(topo, 0), env) == 0.0
+        env = Environment(interference=(2.0,), load=(0.01,))  # round(1*0.01) = 0 packets
+        assert true_expected_loss(NetworkView(topo, env))[0] == 0.0
 
     def test_split_bit_picks_the_route(self):
         # Mote 2 reaches the gateway directly (first link) or through mote 1.
@@ -166,47 +208,55 @@ class TestAnalyticOracle:
                 Mote(2, rate=4, links=(Link(0, LinkParams(base_snr=3.0)), Link(1, LinkParams(base_snr=6.0)))),
             ),
         )
-        env = Environment(interference=(1.5, 2.0, 2.5), load=(1.0, 1.0), cycle=0)
+        env = Environment(interference=(1.5, 2.0, 2.5), load=(1.0, 1.0))
         q1 = link_delivery_prob(topo.motes[0].links[0].params, 1, 1.5)
         q20 = link_delivery_prob(topo.motes[1].links[0].params, 0, 2.0)
         q21 = link_delivery_prob(topo.motes[1].links[1].params, 0, 2.5)
-        direct, relayed = option_from_id(topo, 0b1_01), option_from_id(topo, 0b0_01)
-        assert (direct.split_choices, relayed.split_choices) == ((1,), (0,))
-        assert true_expected_loss(topo, direct, env) == pytest.approx(
-            100.0 * (1.0 - (3 * q1 + 4 * q20) / 7), rel=1e-12
-        )
-        assert true_expected_loss(topo, relayed, env) == pytest.approx(
-            100.0 * (1.0 - (3 * q1 + 4 * q21 * q1) / 7), rel=1e-12
-        )
+        view = NetworkView(topo, env)
+        direct, relayed = 0b1_01, 0b0_01
+        assert (view.route(direct)[1][0], view.route(relayed)[1][0]) == (0, 1)
+        losses = true_expected_loss(view)
+        assert losses[direct] == pytest.approx(100.0 * (1.0 - (3 * q1 + 4 * q20) / 7), rel=1e-12)
+        assert losses[relayed] == pytest.approx(100.0 * (1.0 - (3 * q1 + 4 * q21 * q1) / 7), rel=1e-12)
 
     def test_range_and_determinism(self):
         env = initial_environment(DESK)
-        losses = [true_expected_loss(DESK, o, env) for o in enumerate_options(DESK)]
-        assert all(0.0 <= x <= 100.0 for x in losses)
-        assert losses == [true_expected_loss(DESK, o, env) for o in enumerate_options(DESK)]
+        losses = true_expected_loss(NetworkView(DESK, env))
+        assert losses.dtype == np.float64 and losses.shape == (256,)
+        assert np.all((0.0 <= losses) & (losses <= 100.0))
+        assert np.array_equal(losses, true_expected_loss(NetworkView(DESK, env)))
 
     def test_raising_all_powers_weakly_reduces_loss(self):
-        env = initial_environment(DESK)
-        max_powers = (1,) * DESK.mote_count
-        options = enumerate_options(DESK)
-        boosted_by_split = {o.split_choices: o for o in options if o.power_levels == max_powers}
-        for option in options:
-            boosted = boosted_by_split[option.split_choices]
-            assert true_expected_loss(DESK, boosted, env) <= true_expected_loss(DESK, option, env) + 1e-12
+        losses = true_expected_loss(NetworkView(DESK, initial_environment(DESK)))
+        max_powers = (1 << DESK.mote_count) - 1  # same split bits, every power bit set
+        for option_id in range(DESK.option_count):
+            assert losses[option_id | max_powers] <= losses[option_id] + 1e-12
+
+    def test_every_option_matches_the_per_option_reference(self):
+        for topo in (DESK, FULL):
+            walked = [initial_environment(topo)]
+            for step in range(4):
+                walked.append(environment_step(walked[-1], EnvironmentWalk(), 4100 + step))
+            silent = Environment(interference=walked[-1].interference, load=(0.01,) * topo.mote_count)
+            for env in walked[1:] + [silent]:
+                expected = [reference_loss(topo, env, i) for i in range(topo.option_count)]
+                assert true_expected_loss(NetworkView(topo, env)).tolist() == expected
+            for q in (0.0, 0.3, 1.0):
+                expected = [reference_loss(topo, walked[-1], i, q) for i in range(topo.option_count)]
+                assert true_expected_loss(NetworkView(topo, walked[-1], q)).tolist() == expected
 
 
 class TestSimulation:
     def test_forced_delivery_extremes(self):
         env = initial_environment(DESK)
-        option = option_from_id(DESK, 37)
         seeds = derive_seeds(5, 20)
-        assert np.all(NetworkModel(DESK, option, env, delivery_override=1.0).simulate_batch(seeds) == 0.0)
-        assert np.all(NetworkModel(DESK, option, env, delivery_override=0.0).simulate_batch(seeds) == 1.0)
+        assert np.all(NetworkModel(NetworkView(DESK, env, delivery_override=1.0), 37).simulate_batch(seeds) == 0.0)
+        assert np.all(NetworkModel(NetworkView(DESK, env, delivery_override=0.0), 37).simulate_batch(seeds) == 1.0)
 
     def test_outcomes_are_packet_fractions(self):
         """Every outcome is lost/generated for an integer count of lost packets."""
         env = initial_environment(DESK)
-        model = NetworkModel(DESK, option_from_id(DESK, 201), env)
+        model = NetworkModel(NetworkView(DESK, env), 201)
         generated = sum(max(0, round(m.rate * env.load[m.mote_id - 1])) for m in DESK.motes)
         outcomes = model.simulate_batch(derive_seeds(3, 2000))
         lost = outcomes * generated
@@ -216,7 +266,7 @@ class TestSimulation:
     def test_scalar_equals_batch(self):
         """A batch equals the same seeds run as batches of one."""
         env = initial_environment(DESK)
-        model = NetworkModel(DESK, option_from_id(DESK, 90), env)
+        model = NetworkModel(NetworkView(DESK, env), 90)
         seeds = derive_seeds(17, 50)
         batch = model.simulate_batch(seeds)
         scalar = np.concatenate([model.simulate_batch(seeds[i:i + 1]) for i in range(len(seeds))])
@@ -224,10 +274,9 @@ class TestSimulation:
 
     def test_deterministic_per_seed(self):
         env = initial_environment(DESK)
-        option = option_from_id(DESK, 123)
         seeds = np.array([42], dtype=np.uint64)
-        first = NetworkModel(DESK, option, env).simulate_batch(seeds)
-        assert np.array_equal(first, NetworkModel(DESK, option, env).simulate_batch(seeds))
+        first = NetworkModel(NetworkView(DESK, env), 123).simulate_batch(seeds)
+        assert np.array_equal(first, NetworkModel(NetworkView(DESK, env), 123).simulate_batch(seeds))
 
     def test_monte_carlo_matches_oracle(self):
         rng = np.random.default_rng(59)
@@ -235,11 +284,11 @@ class TestSimulation:
         walk = EnvironmentWalk()
         for step in range(3):
             env = environment_step(env, walk, 7000 + step)
+        view = NetworkView(DESK, env)
         for oid in rng.integers(0, 256, size=3):
-            option = option_from_id(DESK, int(oid))
-            model = NetworkModel(DESK, option, env)
+            model = NetworkModel(view, int(oid))
             mc = 100.0 * float(model.simulate_batch(derive_seeds(int(oid), 50_000)).mean())
-            truth = true_expected_loss(DESK, option, env)
+            truth = true_expected_loss(view)[oid]
             assert abs(mc - truth) < 0.4  # ~5 sigma at this sample size
 
     def test_one_hop_lost_counts_are_binomial(self):
@@ -247,7 +296,7 @@ class TestSimulation:
         topo = one_hop_topology(rate=n)
         env = initial_environment(topo)
         for q in (0.3, 0.85):
-            model = NetworkModel(topo, option_from_id(topo, 0), env, delivery_override=q)
+            model = NetworkModel(NetworkView(topo, env, delivery_override=q), 0)
             lost = np.rint(model.simulate_batch(derive_seeds(11, runs)) * n).astype(np.int64)
             assert_binomial_histogram(lost, n, 1.0 - q)
 
@@ -263,7 +312,7 @@ class TestSimulation:
             ),
         )
         env = initial_environment(topo)
-        model = NetworkModel(topo, option_from_id(topo, 0), env, delivery_override=q)
+        model = NetworkModel(NetworkView(topo, env, delivery_override=q), 0)
         delivered = n - np.rint(model.simulate_batch(derive_seeds(12, runs)) * n).astype(np.int64)
         assert_binomial_histogram(delivered, n, q * q)
 
@@ -277,25 +326,56 @@ class TestSimulation:
 
         monkeypatch.setattr(netsim, "stream_uint64", counting)
         env = initial_environment(DESK)
-        model = NetworkModel(DESK, option_from_id(DESK, 201), env)
+        model = NetworkModel(NetworkView(DESK, env), 201)
         model.simulate_batch(derive_seeds(4, 1000))
         assert drawn == [1000 * DESK.mote_count]
 
     def test_rejects_counts_the_table_key_cannot_hold(self):
         topo = one_hop_topology(rate=MAX_MOTE_PACKETS + 1)
         with pytest.raises(ValueError, match="packets"):
-            NetworkModel(topo, option_from_id(topo, 0), initial_environment(topo))
+            NetworkModel(NetworkView(topo, initial_environment(topo)), 0)
         topo = one_hop_topology(rate=MAX_MOTE_PACKETS)
-        model = NetworkModel(topo, option_from_id(topo, 0), initial_environment(topo), delivery_override=0.0)
+        model = NetworkModel(NetworkView(topo, initial_environment(topo), delivery_override=0.0), 0)
         assert np.all(model.simulate_batch(derive_seeds(6, 20)) == 1.0)
         with pytest.raises(ValueError, match="probability"):
-            NetworkModel(topo, option_from_id(topo, 0), initial_environment(topo), delivery_override=1.5)
+            NetworkModel(NetworkView(topo, initial_environment(topo), delivery_override=1.5), 0)
 
     def test_zero_traffic_runs_return_zero(self):
         topo = one_hop_topology(rate=1)
-        env = Environment(interference=(2.0,), load=(0.01,), cycle=0)
-        model = NetworkModel(topo, option_from_id(topo, 0), env)
+        env = Environment(interference=(2.0,), load=(0.01,))
+        model = NetworkModel(NetworkView(topo, env), 0)
         assert np.array_equal(model.simulate_batch(derive_seeds(0, 10)), np.zeros(10))
+
+
+class TestNetworkView:
+    def test_models_of_one_view_share_tables(self):
+        # Options 0 and 1 differ only in mote 1's power: mote 6, first in the
+        # plan, holds the same packets over the same link in both.
+        view = NetworkView(DESK, initial_environment(DESK))
+        low, high = NetworkModel(view, 0), NetworkModel(view, 1)
+        assert low._plan[0][0] == high._plan[0][0] == 6
+        assert low._plan[0][3] is high._plan[0][3]
+        assert low._plan[-1][3] is not high._plan[-1][3]  # mote 1's q differs
+        other = NetworkModel(NetworkView(DESK, initial_environment(DESK)), 0)
+        assert np.array_equal(other._plan[0][3], low._plan[0][3])
+        assert other._plan[0][3] is not low._plan[0][3]
+
+    def test_warmup_cycle_holds_one_model_at_a_time(self, monkeypatch):
+        live = []
+        peak = 0
+
+        def counting(*args):
+            nonlocal peak
+            model = NetworkModel(*args)
+            live.append(weakref.ref(model))
+            peak = max(peak, sum(ref() is not None for ref in live))
+            return model
+
+        monkeypatch.setattr(engine, "NetworkModel", counting)
+        config = EngineConfig(warmup_cycles=1, total_cycles=1, smc=SmcConfig(epsilon=0.2))
+        AdaptationEngine(DESK, config, base_seed=3).run_cycle()
+        assert len(live) == DESK.option_count
+        assert peak == 1
 
 
 class TestPinnedOutputs:
@@ -311,7 +391,6 @@ class TestPinnedOutputs:
     ENV = Environment(
         interference=(1.9, 1.8, 1.1, 1.8, 1.9, 1.7, 2.0, 1.1),
         load=(1.0, 1.0, 0.9, 1.0, 1.1, 1.1),
-        cycle=0,
     )
     GENERATED = 21
     # option id: (lost packets per seed of derive_seeds(2024, 8), oracle loss)
@@ -323,18 +402,19 @@ class TestPinnedOutputs:
     }
 
     def test_options_cover_every_split_choice(self):
-        splits = {option_from_id(DESK, oid).split_choices for oid in self.EXPECTED}
+        splits = {((oid >> 6) & 1, (oid >> 7) & 1) for oid in self.EXPECTED}
         assert splits == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_simulated_lost_packets(self):
         seeds = derive_seeds(2024, 8)
         for oid, (lost, _) in self.EXPECTED.items():
-            outcomes = NetworkModel(DESK, option_from_id(DESK, oid), self.ENV).simulate_batch(seeds)
+            outcomes = NetworkModel(NetworkView(DESK, self.ENV), oid).simulate_batch(seeds)
             assert outcomes.tolist() == [k / self.GENERATED for k in lost], oid
 
     def test_oracle_values(self):
+        losses = true_expected_loss(NetworkView(DESK, self.ENV))
         for oid, (_, loss) in self.EXPECTED.items():
-            assert true_expected_loss(DESK, option_from_id(DESK, oid), self.ENV) == loss, oid
+            assert losses[oid] == loss, oid
 
 
 class TestEnvironment:
@@ -342,14 +422,12 @@ class TestEnvironment:
         env = initial_environment(DESK)
         assert len(env.interference) == DESK.link_count
         assert len(env.load) == DESK.mote_count
-        assert env.cycle == 0
 
     def test_zero_width_walk_keeps_values(self):
         env = initial_environment(DESK)
         still = environment_step(env, EnvironmentWalk(interference_step=0.0, load_step=0.0), seed=5)
         assert still.interference == env.interference
         assert still.load == env.load
-        assert still.cycle == env.cycle + 1
 
     def test_walk_rejects_invalid_values(self):
         for overrides in (
@@ -371,7 +449,6 @@ class TestEnvironment:
             env = environment_step(env, walk, step)
         assert all(walk.interference_min <= v <= walk.interference_max for v in env.interference)
         assert all(walk.load_min <= v <= walk.load_max for v in env.load)
-        assert env.cycle == 10_000
 
     def test_trajectory_is_seed_deterministic(self):
         walk = EnvironmentWalk()
@@ -402,7 +479,7 @@ class TestFeatures:
         env = initial_environment(DESK)
         bumped_interference = list(env.interference)
         bumped_interference[3] += 0.5
-        bumped = Environment(interference=tuple(bumped_interference), load=env.load, cycle=0)
+        bumped = Environment(interference=tuple(bumped_interference), load=env.load)
         rows, columns = np.nonzero(features(DESK, env) != features(DESK, bumped))
         settings_width = DESK.mote_count + len(DESK.split_motes)
         assert rows.tolist() == list(range(256))
@@ -414,7 +491,7 @@ class TestFeatures:
             env = environment_step(initial_environment(topo), walk, 12)
             design = features(topo, env)
             assert design.shape == (topo.option_count, feature_dim(topo))
+            width = topo.mote_count + len(topo.split_motes)
             for i in range(topo.option_count):
-                option = option_from_id(topo, i)
-                expected = option.power_levels + option.split_choices + env.interference + env.load
-                assert design[i].tolist() == list(expected)
+                settings = tuple((i >> bit) & 1 for bit in range(width))
+                assert design[i].tolist() == list(settings + env.interference + env.load)
