@@ -144,51 +144,22 @@ def vc_dimension_linear(input_dim: int) -> int:
     return input_dim + 1
 
 
-def vc_confidence_term(m: int, vc_dim: int, eta: float) -> float:
-    """Capacity term nu = (d*(ln(2m/d) + 1) - ln(eta/4)) / m.
-
-    Strictly positive, increasing in d (for d < m) and shrinking roughly
-    like (d ln m)/m as the training set grows.
-    """
-    if m < 1 or vc_dim < 1:
-        raise ValueError("m and vc_dim must be positive integers")
-    if vc_dim >= m:
-        raise ValueError(f"d >= m: risk bound needs more samples ({m}) than VC dimension ({vc_dim})")
-    if not 0.0 < eta < 1.0:
-        raise ValueError("eta must lie in (0, 1)")
-    d = float(vc_dim)
-    return (d * (math.log(2.0 * m / d) + 1.0) - math.log(eta / 4.0)) / m
-
-
-def risk_margin(domain: QualityDomain, confidence_term: float) -> float:
-    """Half-width (b - a) * sqrt(nu) of the expected-risk interval."""
-    if confidence_term < 0.0:
-        raise ValueError("confidence_term must be nonnegative")
-    return domain.loss_upper * math.sqrt(confidence_term)
-
-
-def adjusted_risk_margin(margin: float, domain: QualityDomain, kappa: float) -> float:
-    """Margin corrected for verifier-estimated targets: margin + 2*width*kappa."""
-    if margin < 0.0:
-        raise ValueError("margin must be nonnegative")
-    if kappa < 0.0:
-        raise ValueError("kappa must be nonnegative")
-    return margin + domain.loss_slope_bound * kappa
-
-
 def expected_risk_terms(inputs: RiskBoundInputs, domain: QualityDomain) -> tuple[float, float, float, float]:
     """The chain nu -> margin -> adjusted margin -> expected-risk upper.
 
     Returns ``(confidence_term, risk_margin, adjusted_risk_margin,
     expected_risk_upper)``, the last being empirical_risk + adjusted margin.
+    ``RiskBoundInputs`` has already checked d < m and eta in (0, 1), so nu is
+    positive, and kappa >= 0.
     """
     if inputs.empirical_risk > domain.loss_upper:
         raise ValueError(
             f"empirical_risk {inputs.empirical_risk} exceeds the domain's loss bound {domain.loss_upper}"
         )
-    nu = vc_confidence_term(inputs.m, inputs.vc_dim, inputs.eta)
-    margin = risk_margin(domain, nu)
-    adjusted = adjusted_risk_margin(margin, domain, inputs.kappa)
+    d = float(inputs.vc_dim)
+    nu = (d * (math.log(2.0 * inputs.m / d) + 1.0) - math.log(inputs.eta / 4.0)) / inputs.m
+    margin = domain.loss_upper * math.sqrt(nu)
+    adjusted = margin + domain.loss_slope_bound * inputs.kappa
     return nu, margin, adjusted, inputs.empirical_risk + adjusted
 
 
@@ -223,16 +194,6 @@ def prob_any_feasible_retained(survival_prob: float, n_feasible: int) -> float:
     if survival_prob == 1.0:
         return 1.0
     return -math.expm1(n_feasible * math.log1p(-survival_prob))
-
-
-def bound_confidence(eta: float, alpha: float, survival_prob: float, n_feasible: int) -> float:
-    """Minimum probability (1-eta)*(1-alpha)**2*(1-(1-p)**n) of the bound."""
-    if not 0.0 < eta < 1.0:
-        raise ValueError("eta must lie in (0, 1)")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    retained = prob_any_feasible_retained(survival_prob, n_feasible)
-    return (1.0 - eta) * (1.0 - alpha) ** 2 * retained
 
 
 def count_feasible(predictions, best_prediction: float, radius: float) -> int:
@@ -292,5 +253,6 @@ def decision_error_bound(
         best_prediction=best_prediction,
         cutoff=cutoff,
         error_bound=math.sqrt(risk_upper) + inputs.kappa,
-        min_probability=bound_confidence(inputs.eta, inputs.alpha, survival, n_feasible),
+        min_probability=(1.0 - inputs.eta) * (1.0 - inputs.alpha) ** 2
+        * prob_any_feasible_retained(survival, n_feasible),
     )

@@ -163,6 +163,8 @@ def load_experiment_config(path: str) -> ExperimentSpec:
             directory = os.path.dirname(os.path.abspath(data[key]))
             if not os.path.isdir(directory):
                 raise ValueError(f"{key} directory does not exist: {directory}")
+            if os.path.isdir(data[key]):
+                raise ValueError(f"{key} names a directory, not a file: {data[key]}")
 
     return ExperimentSpec(
         topology=topology,

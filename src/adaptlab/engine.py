@@ -68,7 +68,7 @@ class EngineConfig:
     smc: SmcConfig = field(default_factory=SmcConfig)
     evaluation_mode: bool = True
     window_factor: int = 10
-    workers: int = 1
+    workers: int = 1  # 1 only: estimates run in the calling thread
 
     def __post_init__(self) -> None:
         if self.warmup_cycles < 1:
@@ -79,8 +79,8 @@ class EngineConfig:
             raise ValueError("eta must lie in (0, 1)")
         if self.window_factor < 1:
             raise ValueError("window_factor must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
+        if self.workers != 1:
+            raise ValueError("workers must be 1: estimates run in the calling thread")
         if self.smc.kappa_scale != LOSS_DOMAIN.width:
             raise ValueError(f"smc.kappa_scale must be {LOSS_DOMAIN.width}, the width of the loss domain in percent")
 
@@ -176,7 +176,6 @@ class AdaptationEngine:
             ((oid, NetworkModel(view, oid)) for oid in candidate_ids),  # built one at a time
             self.config.smc,
             smc_seed,
-            workers=self.config.workers,
         )
         selected_id, _ = min(verified, key=lambda pair: (pair[1].mean, pair[0]))
 

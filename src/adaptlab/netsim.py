@@ -25,8 +25,7 @@ environment, built once per adaptation cycle:
   inverse CDF from one uniform per (seed, mote), children before parents. Each
   draw is addressed by (seed, mote id), so a batch of runs is
   bit-identical to the same runs executed one by one (as batches of one) -
-  which is what makes SMC estimates over this model reproducible and
-  parallelizable.
+  which is what makes SMC estimates over this model reproducible.
 
 Packet counts per mote are ``round(rate * load)`` - deterministic given
 the environment - and each mote's route is fixed by the option, so the
@@ -46,22 +45,17 @@ from .seeds import hash01, mix64, stream_uint64
 # ever a guaranteed success or a guaranteed drop.
 Q_FLOOR = 0.005
 Q_CEIL = 0.995
-
-
-@dataclass(frozen=True)
-class LinkParams:
-    """Logistic delivery curve of one directed link."""
-
-    base_snr: float
-    power_gain: float = 2.0
-    slope: float = 0.9
-    threshold: float = 2.0
+# Every link's logistic delivery curve: the SNR high power adds, the curve's
+# slope, and the margin threshold; links differ only in their base SNR.
+POWER_GAIN = 2.0
+SLOPE = 0.9
+THRESHOLD = 2.0
 
 
 @dataclass(frozen=True)
 class Link:
     parent: int
-    params: LinkParams
+    base_snr: float
 
 
 @dataclass(frozen=True)
@@ -82,7 +76,6 @@ class NetworkTopology:
     with all paths reaching the gateway. Each mote has one or two parents.
     """
 
-    name: str
     motes: tuple[Mote, ...]
 
     def __post_init__(self) -> None:
@@ -183,10 +176,10 @@ def environment_step(env: Environment, walk: EnvironmentWalk, seed: int) -> Envi
     return Environment(interference=interference, load=load)
 
 
-def link_delivery_prob(params: LinkParams, power_level: int, interference: float) -> float:
+def link_delivery_prob(base_snr: float, power_level: int, interference: float) -> float:
     """Delivery probability of one link: clamped logistic in the SNR margin."""
-    margin = params.base_snr + params.power_gain * power_level - interference - params.threshold
-    z = params.slope * margin
+    margin = base_snr + POWER_GAIN * power_level - interference - THRESHOLD
+    z = SLOPE * margin
     if z >= 0.0:
         q = 1.0 / (1.0 + math.exp(-z))
     else:  # exp(-z) overflows for very negative margins; this branch underflows instead
@@ -233,7 +226,7 @@ class NetworkView:
             if delivery_override is not None:
                 return (delivery_override, delivery_override)
             level = interference[mote.mote_id, link.parent]
-            return (link_delivery_prob(link.params, 0, level), link_delivery_prob(link.params, 1, level))
+            return (link_delivery_prob(link.base_snr, 0, level), link_delivery_prob(link.base_snr, 1, level))
 
         # Per mote (ascending id): the id bit of its route choice (None with
         # one link), and per link in declared order (parent, (q low, q high)).
@@ -392,14 +385,13 @@ def desk_topology() -> NetworkTopology:
     choices genuinely matter.
     """
     return NetworkTopology(
-        name="desk",
         motes=(
-            Mote(1, rate=3, links=(Link(0, LinkParams(base_snr=5.5)),)),
-            Mote(2, rate=3, links=(Link(0, LinkParams(base_snr=5.0)),)),
-            Mote(3, rate=3, links=(Link(0, LinkParams(base_snr=6.0)),)),
-            Mote(4, rate=4, links=(Link(1, LinkParams(base_snr=4.5)), Link(2, LinkParams(base_snr=5.5)))),
-            Mote(5, rate=4, links=(Link(2, LinkParams(base_snr=5.0)), Link(3, LinkParams(base_snr=4.0)))),
-            Mote(6, rate=4, links=(Link(3, LinkParams(base_snr=5.0)),)),
+            Mote(1, rate=3, links=(Link(0, 5.5),)),
+            Mote(2, rate=3, links=(Link(0, 5.0),)),
+            Mote(3, rate=3, links=(Link(0, 6.0),)),
+            Mote(4, rate=4, links=(Link(1, 4.5), Link(2, 5.5))),
+            Mote(5, rate=4, links=(Link(2, 5.0), Link(3, 4.0))),
+            Mote(6, rate=4, links=(Link(3, 5.0),)),
         ),
     )
 
@@ -407,17 +399,16 @@ def desk_topology() -> NetworkTopology:
 def full_topology() -> NetworkTopology:
     """9 motes + gateway, 12 binary choices, 4096 options."""
     return NetworkTopology(
-        name="full",
         motes=(
-            Mote(1, rate=3, links=(Link(0, LinkParams(base_snr=5.5)),)),
-            Mote(2, rate=3, links=(Link(0, LinkParams(base_snr=5.0)),)),
-            Mote(3, rate=3, links=(Link(0, LinkParams(base_snr=6.0)),)),
-            Mote(4, rate=4, links=(Link(1, LinkParams(base_snr=4.5)), Link(2, LinkParams(base_snr=5.5)))),
-            Mote(5, rate=4, links=(Link(2, LinkParams(base_snr=5.0)), Link(3, LinkParams(base_snr=4.0)))),
-            Mote(6, rate=4, links=(Link(1, LinkParams(base_snr=4.0)), Link(3, LinkParams(base_snr=5.5)))),
-            Mote(7, rate=4, links=(Link(1, LinkParams(base_snr=5.0)),)),
-            Mote(8, rate=4, links=(Link(2, LinkParams(base_snr=4.5)),)),
-            Mote(9, rate=4, links=(Link(3, LinkParams(base_snr=5.0)),)),
+            Mote(1, rate=3, links=(Link(0, 5.5),)),
+            Mote(2, rate=3, links=(Link(0, 5.0),)),
+            Mote(3, rate=3, links=(Link(0, 6.0),)),
+            Mote(4, rate=4, links=(Link(1, 4.5), Link(2, 5.5))),
+            Mote(5, rate=4, links=(Link(2, 5.0), Link(3, 4.0))),
+            Mote(6, rate=4, links=(Link(1, 4.0), Link(3, 5.5))),
+            Mote(7, rate=4, links=(Link(1, 5.0),)),
+            Mote(8, rate=4, links=(Link(2, 4.5),)),
+            Mote(9, rate=4, links=(Link(3, 5.0),)),
         ),
     )
 

@@ -3,8 +3,8 @@
 All randomness in this package is a pure function of integer seeds: a run,
 a cycle, or one mote's draw in one run is addressed by (seed, index) and hashed
 through a splitmix64-style avalanche. There is no stateful generator, so
-results are independent of execution order, chunking, or parallelism, and
-portable across platforms.
+results are independent of execution order and batching, and portable
+across platforms.
 
 Scalar helpers operate on Python ints (exact, no overflow warnings); the
 ``*_array`` variants are elementwise-identical numpy implementations used
@@ -75,28 +75,3 @@ def derive_seeds(base_seed: int, count: int) -> np.ndarray:
     """uint64 array of ``mix64(base_seed, i)`` for i in 0..count-1."""
     return stream_uint64(np.uint64(base_seed & MASK64), np.arange(count, dtype=np.uint64))
 
-
-def probability_threshold(p: float) -> int:
-    """Map p in [0, 1] to the uint64 threshold t with P(draw < t) ~= p.
-
-    Exact at the endpoints by short-circuit in callers; see
-    :func:`bernoulli_from_stream`.
-    """
-    if p <= 0.0:
-        return 0
-    if p >= 1.0:
-        return 1 << 64
-    return int(p * 2.0**64)
-
-
-def bernoulli_from_stream(draws: np.ndarray, p: float) -> np.ndarray:
-    """Boolean Bernoulli(p) array from raw uint64 draws.
-
-    p <= 0 and p >= 1 are exact (all False / all True), so forcing a
-    probability to 0 or 1 is deterministic rather than 1-in-2^64.
-    """
-    if p <= 0.0:
-        return np.zeros(draws.shape, dtype=bool)
-    if p >= 1.0:
-        return np.ones(draws.shape, dtype=bool)
-    return draws < np.uint64(probability_threshold(p))

@@ -11,20 +11,20 @@ with kappa = 100 * epsilon).
 Determinism contract: per-run seeds are derived from (base_seed,
 run_index) with :func:`adaptlab.seeds.mix64`, outcomes are collected in
 run-index order, and the reduction is an exactly rounded sum - so an
-estimate is a pure function of (model, config, base_seed) no matter how
-runs are chunked across workers.
+estimate is a pure function of (model, config, base_seed), and a model that
+simulates its runs one seed at a time gives the same estimate as one that
+simulates them in a single batch.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
-from .seeds import bernoulli_from_stream, derive_seeds, mix64, stream_uint64
+from .seeds import derive_seeds, mix64, stream_uint64
 
 
 @runtime_checkable
@@ -76,16 +76,7 @@ def required_samples(epsilon: float, alpha: float) -> int:
     return math.ceil(math.log(2.0 / alpha) / (2.0 * epsilon * epsilon))
 
 
-def _collect_outcomes(model: StochasticModel, seeds: np.ndarray, workers: int) -> np.ndarray:
-    if workers <= 1:
-        return np.asarray(model.simulate_batch(seeds), dtype=np.float64)
-    # map() yields the chunks in order, so outcomes stay in run-index order.
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        chunks = pool.map(model.simulate_batch, np.array_split(seeds, workers))
-        return np.concatenate([np.asarray(chunk, dtype=np.float64) for chunk in chunks])
-
-
-def estimate(model: StochasticModel, config: SmcConfig, base_seed: int, workers: int = 1) -> SmcEstimate:
+def estimate(model: StochasticModel, config: SmcConfig, base_seed: int) -> SmcEstimate:
     """Estimate the model's expected outcome in quality units.
 
     Runs ``required_samples(epsilon, alpha)`` simulations with per-run
@@ -95,7 +86,7 @@ def estimate(model: StochasticModel, config: SmcConfig, base_seed: int, workers:
     """
     n = required_samples(config.epsilon, config.alpha)
     seeds = derive_seeds(base_seed, n)
-    outcomes = _collect_outcomes(model, seeds, workers)
+    outcomes = np.asarray(model.simulate_batch(seeds), dtype=np.float64)
     if outcomes.shape != (n,):
         raise ValueError(f"model returned {outcomes.shape} outcomes for {n} runs")
     low, high = float(outcomes.min()), float(outcomes.max())
@@ -110,7 +101,6 @@ def verify_options(
     options: Iterable[tuple[int, StochasticModel]],
     config: SmcConfig,
     base_seed: int,
-    workers: int = 1,
 ) -> list[tuple[int, SmcEstimate]]:
     """Estimate every (id, model) pair, seeding each option from its id.
 
@@ -120,7 +110,7 @@ def verify_options(
     """
     verified = []
     for option_id, model in options:
-        verified.append((option_id, estimate(model, config, mix64(base_seed, option_id), workers)))
+        verified.append((option_id, estimate(model, config, mix64(base_seed, option_id))))
         del model
     return verified
 
@@ -137,7 +127,9 @@ class BernoulliModel:
 
     def simulate_batch(self, seeds: np.ndarray) -> np.ndarray:
         draws = stream_uint64(np.asarray(seeds, dtype=np.uint64), np.uint64(self._SALT))
-        return bernoulli_from_stream(draws, self.p).astype(np.float64)
+        if self.p == 1.0:  # exact; its threshold 2**64 does not fit a uint64
+            return np.ones(draws.shape)
+        return (draws < np.uint64(int(self.p * 2.0**64))).astype(np.float64)
 
 
 def coverage_experiment(

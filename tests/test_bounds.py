@@ -10,15 +10,11 @@ from hypothesis import strategies as st
 from adaptlab.bounds import (
     QualityDomain,
     RiskBoundInputs,
-    adjusted_risk_margin,
-    bound_confidence,
     count_feasible,
     decision_error_bound,
     expected_risk_terms,
     prob_any_feasible_retained,
     reduction_survival_prob,
-    risk_margin,
-    vc_confidence_term,
     vc_dimension_linear,
 )
 
@@ -37,70 +33,97 @@ class TestVcDimension:
             vc_dimension_linear(0)
 
 
+def make_inputs(**overrides):
+    base = dict(m=2560, vc_dim=23, eta=0.05, empirical_risk=6.0, kappa=1.0, alpha=0.1)
+    return RiskBoundInputs(**{**base, **overrides})
+
+
+def terms(domain=PERCENT, **overrides):
+    """``expected_risk_terms`` of one trained model: (nu, margin, adjusted, upper)."""
+    return expected_risk_terms(make_inputs(**{"empirical_risk": 0.0, **overrides}), domain)
+
+
+def nu(m, d, eta):
+    return terms(m=m, vc_dim=d, eta=eta)[0]
+
+
 class TestConfidenceTerm:
     def test_matches_direct_formula(self):
         m, d, eta = 6000, 86, 0.05
         expected = (d * (math.log(2 * m / d) + 1) - math.log(eta / 4)) / m
-        assert vc_confidence_term(m, d, eta) == pytest.approx(expected, rel=1e-15)
-        assert vc_confidence_term(m, d, eta) > 0
+        assert nu(m, d, eta) == pytest.approx(expected, rel=1e-15)
+        assert nu(m, d, eta) > 0
 
     def test_shrinks_with_more_samples(self):
-        assert vc_confidence_term(200, 86, 0.05) > vc_confidence_term(2000, 86, 0.05)
+        assert nu(200, 86, 0.05) > nu(2000, 86, 0.05)
 
     def test_grows_with_smaller_eta(self):
-        assert vc_confidence_term(1000, 86, 0.05) > vc_confidence_term(1000, 86, 0.5)
+        assert nu(1000, 86, 0.05) > nu(1000, 86, 0.5)
 
     def test_rejects_capacity_at_or_above_samples(self):
         with pytest.raises(ValueError, match="d >= m"):
-            vc_confidence_term(86, 86, 0.05)
+            nu(86, 86, 0.05)
         with pytest.raises(ValueError, match="d >= m"):
-            vc_confidence_term(50, 86, 0.05)
+            nu(50, 86, 0.05)
 
     def test_rejects_bad_eta(self):
         for eta in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
-                vc_confidence_term(100, 10, eta)
+                nu(100, 10, eta)
 
     @given(st.integers(min_value=2, max_value=400))
     def test_strictly_increasing_in_capacity(self, d):
         m = 1000
-        assert vc_confidence_term(m, d, 0.05) < vc_confidence_term(m, d + 1, 0.05)
+        assert nu(m, d, 0.05) < nu(m, d + 1, 0.05)
 
 
 class TestRiskMargin:
     def test_zero_confidence_term(self):
-        assert risk_margin(PERCENT, 0.0) == 0.0
+        # nu -> 0 as m grows, and the margin with it
+        confidence, margin, *_ = terms(UNIT, m=10**15, vc_dim=1)
+        assert confidence < 1e-12
+        assert margin == math.sqrt(confidence) < 1e-6
 
     def test_percent_domain(self):
-        assert risk_margin(PERCENT, 0.25) == pytest.approx(5000.0, rel=1e-15)
+        confidence, margin, *_ = terms(PERCENT)
+        assert margin == 10_000.0 * math.sqrt(confidence)
 
     def test_unit_domain(self):
-        assert risk_margin(UNIT, 1.0) == 1.0
+        confidence, margin, *_ = terms(UNIT)
+        assert margin == math.sqrt(confidence)
 
     def test_offset_domain_uses_width(self):
         shifted = QualityDomain(lower=50.0, upper=150.0)
-        assert risk_margin(shifted, 0.25) == risk_margin(PERCENT, 0.25)
+        assert terms(shifted) == terms(PERCENT)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            risk_margin(PERCENT, -1e-9)
+        # nu is positive wherever RiskBoundInputs admits its inputs, even at
+        # the smallest window and the largest eta; below them it raises.
+        assert terms(m=24, eta=1.0 - 1e-12)[1] > 0.0
+        for overrides in (dict(m=23), dict(m=0), dict(vc_dim=0), dict(eta=1.0)):
+            with pytest.raises(ValueError):
+                terms(**overrides)
 
 
 class TestAdjustedMargin:
     def test_verifier_correction(self):
-        assert adjusted_risk_margin(5000.0, PERCENT, 1.0) == pytest.approx(5200.0, rel=1e-15)
+        _, margin, adjusted, _ = terms(PERCENT, kappa=1.0)
+        assert adjusted == margin + 200.0
 
     def test_no_correction_at_zero_kappa(self):
-        assert adjusted_risk_margin(123.0, PERCENT, 0.0) == 123.0
+        _, margin, adjusted, _ = terms(PERCENT, kappa=0.0)
+        assert adjusted == margin
 
     def test_zero_margin(self):
-        assert adjusted_risk_margin(0.0, PERCENT, 0.5) == pytest.approx(100.0, rel=1e-15)
+        # a vanishing margin leaves only the correction 2 * width * kappa
+        _, margin, adjusted, _ = terms(UNIT, m=10**15, vc_dim=1, kappa=0.5)
+        assert adjusted == pytest.approx(1.0, abs=1e-6)
+        assert adjusted == margin + 1.0
 
     def test_rejects_negative_inputs(self):
-        with pytest.raises(ValueError):
-            adjusted_risk_margin(-1.0, PERCENT, 0.0)
-        with pytest.raises(ValueError):
-            adjusted_risk_margin(1.0, PERCENT, -0.5)
+        for overrides in (dict(kappa=-0.5), dict(empirical_risk=-1.0)):
+            with pytest.raises(ValueError):
+                terms(**overrides)
 
 
 class TestSurvivalProb:
@@ -165,21 +188,32 @@ class TestRetainedProb:
             prob_any_feasible_retained(0.5, -1)
 
 
+def bound_at(survival, n, **overrides):
+    """decision_error_bound on PERCENT with the cutoff placed at ``survival``."""
+    inputs = make_inputs(**overrides)
+    width = 2.0 * math.sqrt(expected_risk_terms(inputs, PERCENT)[3])
+    return decision_error_bound(inputs, PERCENT, 8.9 + survival * width, 8.9, n)
+
+
 class TestBoundConfidence:
     def test_product_form(self):
-        eta, alpha, p, n = 0.05, 0.1, 0.3, 25
+        eta, alpha, n = 0.05, 0.1, 25
+        bound = bound_at(0.3, n, eta=eta, alpha=alpha)
+        p = bound.survival_prob
+        assert p == pytest.approx(0.3, rel=1e-12)
         expected = (1 - eta) * (1 - alpha) ** 2 * (1 - (1 - p) ** n)
-        assert bound_confidence(eta, alpha, p, n) == pytest.approx(expected, rel=1e-14)
+        assert bound.min_probability == pytest.approx(expected, rel=1e-14)
 
     def test_negligible_alpha_reduces_to_single_factor(self):
         # With kappa = 0 the margin correction vanishes (see TestAdjustedMargin)
         # and as alpha -> 0 the confidence tends to (1-eta)*(1-(1-p)^n).
-        eta, p, n = 0.2, 0.4, 10
-        got = bound_confidence(eta, 1e-300, p, n)
-        assert got == pytest.approx((1 - eta) * (1 - (1 - p) ** n), rel=1e-12)
+        eta, n = 0.2, 10
+        bound = bound_at(0.4, n, eta=eta, alpha=1e-300, kappa=0.0)
+        p = bound.survival_prob
+        assert bound.min_probability == pytest.approx((1 - eta) * (1 - (1 - p) ** n), rel=1e-12)
 
     def test_empty_feasible_set_gives_zero(self):
-        assert bound_confidence(0.05, 0.1, 0.9, 0) == 0.0
+        assert bound_at(0.9, 0).min_probability == 0.0
 
 
 class TestCountFeasible:
@@ -246,50 +280,56 @@ class TestDomain:
 
 
 class TestComposition:
-    def _inputs(self, **overrides):
-        base = dict(m=2560, vc_dim=23, eta=0.05, empirical_risk=6.0, kappa=1.0, alpha=0.1)
-        return RiskBoundInputs(**{**base, **overrides})
-
     def test_fields_satisfy_their_defining_equations(self):
-        bound = decision_error_bound(self._inputs(), PERCENT, 9.4, 8.9, 256)
-        assert expected_risk_terms(self._inputs(), PERCENT) == (
-            bound.confidence_term, bound.risk_margin, bound.adjusted_risk_margin, bound.expected_risk_upper
-        )
-        assert bound.risk_margin == PERCENT.loss_upper * math.sqrt(bound.confidence_term)
-        assert bound.adjusted_risk_margin == bound.risk_margin + PERCENT.loss_slope_bound * 1.0
-        assert bound.expected_risk_upper == 6.0 + bound.adjusted_risk_margin
-        assert bound.error_bound == math.sqrt(bound.expected_risk_upper) + 1.0
-        assert bound.min_probability == bound_confidence(0.05, 0.1, bound.survival_prob, 256)
-        assert 0.0 <= bound.survival_prob <= 1.0
-        assert 0.0 <= bound.min_probability <= 1.0
+        nu = (23 * (math.log(2 * 2560 / 23) + 1) - math.log(0.05 / 4)) / 2560
+        for domain in (PERCENT, UNIT, QualityDomain(lower=50.0, upper=150.0)):
+            # the PERCENT example's risk and predictions, scaled to the domain
+            scale = domain.width / 100.0
+            risk, best, cut = 6.0 * scale**2, domain.lower + 8.9 * scale, domain.lower + 9.4 * scale
+            inputs = make_inputs(empirical_risk=risk)
+            bound = decision_error_bound(inputs, domain, cut, best, 256)
+            assert expected_risk_terms(inputs, domain) == (
+                bound.confidence_term, bound.risk_margin, bound.adjusted_risk_margin, bound.expected_risk_upper
+            )
+            assert bound.confidence_term == pytest.approx(nu, rel=1e-15)
+            assert bound.risk_margin == domain.loss_upper * math.sqrt(bound.confidence_term)
+            assert bound.adjusted_risk_margin == bound.risk_margin + domain.loss_slope_bound * 1.0
+            assert bound.expected_risk_upper == risk + bound.adjusted_risk_margin
+            assert bound.survival_prob == reduction_survival_prob(cut, best, bound.expected_risk_upper)
+            assert bound.error_bound == math.sqrt(bound.expected_risk_upper) + 1.0
+            assert bound.min_probability == (1 - 0.05) * (1 - 0.1) ** 2 * prob_any_feasible_retained(
+                bound.survival_prob, 256
+            )
+            assert 0.0 <= bound.survival_prob <= 1.0
+            assert 0.0 <= bound.min_probability <= 1.0
 
     def test_error_bound_grows_with_kappa_and_risk(self):
-        base = decision_error_bound(self._inputs(), PERCENT, 9.4, 8.9, 256)
-        more_kappa = decision_error_bound(self._inputs(kappa=2.0), PERCENT, 9.4, 8.9, 256)
-        more_risk = decision_error_bound(self._inputs(empirical_risk=60.0), PERCENT, 9.4, 8.9, 256)
+        base = decision_error_bound(make_inputs(), PERCENT, 9.4, 8.9, 256)
+        more_kappa = decision_error_bound(make_inputs(kappa=2.0), PERCENT, 9.4, 8.9, 256)
+        more_risk = decision_error_bound(make_inputs(empirical_risk=60.0), PERCENT, 9.4, 8.9, 256)
         assert more_kappa.error_bound > base.error_bound
         assert more_risk.error_bound > base.error_bound
 
     def test_confidence_falls_with_eta_and_alpha(self):
-        base = decision_error_bound(self._inputs(), PERCENT, 9.4, 8.9, 256)
-        more_eta = decision_error_bound(self._inputs(eta=0.2), PERCENT, 9.4, 8.9, 256)
-        more_alpha = decision_error_bound(self._inputs(alpha=0.3), PERCENT, 9.4, 8.9, 256)
+        base = decision_error_bound(make_inputs(), PERCENT, 9.4, 8.9, 256)
+        more_eta = decision_error_bound(make_inputs(eta=0.2), PERCENT, 9.4, 8.9, 256)
+        more_alpha = decision_error_bound(make_inputs(alpha=0.3), PERCENT, 9.4, 8.9, 256)
         assert more_eta.min_probability < base.min_probability
         assert more_alpha.min_probability < base.min_probability
 
     def test_confidence_grows_with_feasible_count(self):
-        small = decision_error_bound(self._inputs(), PERCENT, 9.4, 8.9, 10)
-        large = decision_error_bound(self._inputs(), PERCENT, 9.4, 8.9, 100)
+        small = decision_error_bound(make_inputs(), PERCENT, 9.4, 8.9, 10)
+        large = decision_error_bound(make_inputs(), PERCENT, 9.4, 8.9, 100)
         assert small.min_probability < large.min_probability
 
     def test_zero_feasible_options_zero_confidence(self):
-        bound = decision_error_bound(self._inputs(), PERCENT, 9.4, 8.9, 0)
+        bound = decision_error_bound(make_inputs(), PERCENT, 9.4, 8.9, 0)
         assert bound.min_probability == 0.0
 
     def test_near_degenerate_limits(self):
         # kappa = 0, eta and alpha negligible, generous cutoff: the bound
         # tends to sqrt(risk + margin) and the confidence to 1.
-        inputs = self._inputs(kappa=0.0, eta=1e-12, alpha=1e-12)
+        inputs = make_inputs(kappa=0.0, eta=1e-12, alpha=1e-12)
         bound = decision_error_bound(inputs, PERCENT, 1e9, 0.0, 50)
         assert bound.survival_prob == 1.0
         assert bound.error_bound == math.sqrt(6.0 + bound.risk_margin)
@@ -297,7 +337,7 @@ class TestComposition:
 
     def test_rejects_risk_above_loss_bound(self):
         with pytest.raises(ValueError, match="loss bound"):
-            decision_error_bound(self._inputs(empirical_risk=10_001.0), PERCENT, 9.4, 8.9, 256)
+            decision_error_bound(make_inputs(empirical_risk=10_001.0), PERCENT, 9.4, 8.9, 256)
 
     def test_float_recomputation_agrees(self):
         # Independent (differently ordered) float evaluation of the whole

@@ -15,6 +15,12 @@ from adaptlab.smc import SmcConfig
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def readme_run_config() -> dict:
+    """The JSON config shown under the README's ``adaptlab run`` heading."""
+    text = README.read_text(encoding="utf-8")
+    return json.loads(text.split("### `adaptlab run")[1].split("```json\n")[1].split("```")[0])
+
+
 def write_config(tmp_path, name="config.json", **overrides):
     config = {
         "topology": "desk",
@@ -265,15 +271,46 @@ class TestRunCommand:
             assert f"{key} directory does not exist: {target.parent}" in captured.err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
-    def test_failed_publish_removes_its_temporaries(self, tmp_path, capsys):
-        # The summary's target is a directory: its temporary is written, then
-        # cannot replace it.
-        (tmp_path / "summary").mkdir()
-        config_path, _ = write_config(tmp_path, output_summary=str(tmp_path / "summary"))
+    def test_failed_publish_removes_its_temporaries(self, tmp_path, capsys, monkeypatch):
+        # The CSV's temporary is complete when the summary's write fails half way.
+        def broken_summary(summary, path):
+            Path(path).write_text("{")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_write_summary", broken_summary)
+        previous = b"cycle\n1\n"
+        (tmp_path / "out.csv").write_bytes(previous)
+        config_path, _ = write_config(tmp_path, output_summary=str(tmp_path / "summary.json"))
         assert main(["run", str(config_path)]) == 2
         assert capsys.readouterr().out == ""
-        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
-        assert not list((tmp_path / "summary").iterdir())
+        assert (tmp_path / "out.csv").read_bytes() == previous
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out.csv"]
+
+    def test_output_naming_a_directory_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("run_experiment must not start")
+
+        monkeypatch.setattr(cli, "run_experiment", never)
+        previous = b"cycle\n1\n"
+        (tmp_path / "out.csv").write_bytes(previous)
+        (tmp_path / "sumdir").mkdir()
+        for key, target in (("output_summary", tmp_path / "sumdir"), ("output_csv", tmp_path / "sumdir")):
+            config_path, _ = write_config(tmp_path, **{key: str(target)})
+            assert main(["run", str(config_path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{key} names a directory, not a file: {target}" in captured.err
+        assert (tmp_path / "out.csv").read_bytes() == previous
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out.csv", "sumdir"]
+        assert not list((tmp_path / "sumdir").iterdir())
+
+    def test_workers_other_than_one_is_usage_error(self, tmp_path, capsys):
+        config_path, _ = write_config(tmp_path, engine={"warmup_cycles": 2, "total_cycles": 4, "workers": 2})
+        assert main(["run", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "workers must be 1" in captured.err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_failed_run_keeps_existing_output(self, tmp_path, capsys):
         previous = b"cycle\n1\n"
@@ -286,20 +323,24 @@ class TestRunCommand:
         assert (tmp_path / "out.csv").read_bytes() == previous
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out.csv"]
 
-    def test_readme_example_matches_the_loader(self, tmp_path):
+    def test_readme_example_matches_the_loader(self):
         """The README's run config lists every accepted key at its default."""
-        text = README.read_text(encoding="utf-8")
-        example = text.split("### `adaptlab run")[1].split("```json\n")[1].split("```")[0]
-        config = json.loads(example)
+        config = readme_run_config()
         sections = {"engine": EngineConfig, "smc": SmcConfig, "walk": EnvironmentWalk}
         for name, cls in sections.items():
             assert config[name] == section_defaults(cls), name
+        assert set(config) == {"topology", "seed", "output_csv", "output_summary", *sections}
+
+    def test_readme_example_loads_to_the_defaults(self, tmp_path):
+        """The README says the sections default to the values it shows."""
+        config = readme_run_config()
+        config.update(output_csv=str(tmp_path / "cycles.csv"), output_summary=str(tmp_path / "summary.json"))
         path = tmp_path / "readme.json"
-        path.write_text(example)
+        path.write_text(json.dumps(config))
         spec = load_experiment_config(str(path))
         assert spec.engine == EngineConfig()
+        assert spec.engine.smc == SmcConfig()
         assert spec.walk == EnvironmentWalk()
-        assert set(config) == {"topology", "seed", "output_csv", "output_summary", *sections}
 
 
 class TestSelftestCommand:

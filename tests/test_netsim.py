@@ -13,7 +13,6 @@ from adaptlab.netsim import (
     Environment,
     EnvironmentWalk,
     Link,
-    LinkParams,
     Mote,
     NetworkModel,
     NetworkTopology,
@@ -36,8 +35,7 @@ FULL = full_topology()
 
 def one_hop_topology(rate=1):
     return NetworkTopology(
-        name="one-hop",
-        motes=(Mote(1, rate=rate, links=(Link(0, LinkParams(base_snr=5.0)),)),),
+        motes=(Mote(1, rate=rate, links=(Link(0, 5.0),)),),
     )
 
 
@@ -62,7 +60,7 @@ def reference_loss(topology, env, option_id, delivery_override=None):
         power = (option_id >> (mote.mote_id - 1)) & 1
         q = delivery_override
         if q is None:
-            q = link_delivery_prob(link.params, power, env.interference[link_index + pick])
+            q = link_delivery_prob(link.base_snr, power, env.interference[link_index + pick])
         reach.append(q * reach[link.parent])
         link_index += len(mote.links)
     delivered = 0.0
@@ -115,7 +113,7 @@ class TestEnumeration:
         # powers (0, 1, 1, 0, 0, 0); mote 4 takes its second link, mote 5 its first
         env = initial_environment(DESK)
         expected = [
-            (link.parent, link_delivery_prob(link.params, power, env.interference[index]))
+            (link.parent, link_delivery_prob(link.base_snr, power, env.interference[index]))
             for link, power, index in zip(
                 [DESK.motes[0].links[0], DESK.motes[1].links[0], DESK.motes[2].links[0],
                  DESK.motes[3].links[1], DESK.motes[4].links[0], DESK.motes[5].links[0]],
@@ -130,28 +128,25 @@ class TestTopologyValidation:
     def test_parent_must_precede_child(self):
         with pytest.raises(ValueError, match="earlier mote"):
             NetworkTopology(
-                name="bad",
                 motes=(
-                    Mote(1, rate=1, links=(Link(2, LinkParams(5.0)),)),
-                    Mote(2, rate=1, links=(Link(0, LinkParams(5.0)),)),
+                    Mote(1, rate=1, links=(Link(2, 5.0),)),
+                    Mote(2, rate=1, links=(Link(0, 5.0),)),
                 ),
             )
 
     def test_duplicate_parent_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             NetworkTopology(
-                name="bad",
                 motes=(
-                    Mote(1, rate=1, links=(Link(0, LinkParams(5.0)),)),
-                    Mote(2, rate=1, links=(Link(1, LinkParams(5.0)), Link(1, LinkParams(4.0)))),
+                    Mote(1, rate=1, links=(Link(0, 5.0),)),
+                    Mote(2, rate=1, links=(Link(1, 5.0), Link(1, 4.0))),
                 ),
             )
 
     def test_numbering_must_be_contiguous(self):
         with pytest.raises(ValueError, match="numbered"):
             NetworkTopology(
-                name="bad",
-                motes=(Mote(2, rate=1, links=(Link(0, LinkParams(5.0)),)),),
+                motes=(Mote(2, rate=1, links=(Link(0, 5.0),)),),
             )
 
     def test_desk_link_order_is_documented_shape(self):
@@ -160,25 +155,25 @@ class TestTopologyValidation:
 
 
 class TestLinkModel:
-    PARAMS = LinkParams(base_snr=5.0, power_gain=2.0, slope=0.9, threshold=2.0)
+    BASE_SNR = 5.0
 
     def test_midpoint_is_half(self):
         # margin = 5 + 0 - 3 - 2 = 0 at the logistic midpoint
-        assert link_delivery_prob(self.PARAMS, 0, interference=3.0) == pytest.approx(0.5, abs=1e-12)
+        assert link_delivery_prob(self.BASE_SNR, 0, interference=3.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_monotone_in_power(self):
-        low = link_delivery_prob(self.PARAMS, 0, interference=3.0)
-        high = link_delivery_prob(self.PARAMS, 1, interference=3.0)
+        low = link_delivery_prob(self.BASE_SNR, 0, interference=3.0)
+        high = link_delivery_prob(self.BASE_SNR, 1, interference=3.0)
         assert high > low
 
     def test_monotone_in_interference(self):
-        quiet = link_delivery_prob(self.PARAMS, 0, interference=1.0)
-        noisy = link_delivery_prob(self.PARAMS, 0, interference=5.0)
+        quiet = link_delivery_prob(self.BASE_SNR, 0, interference=1.0)
+        noisy = link_delivery_prob(self.BASE_SNR, 0, interference=5.0)
         assert quiet > noisy
 
     def test_clamps(self):
-        assert link_delivery_prob(self.PARAMS, 0, interference=1e9) == 0.005
-        assert link_delivery_prob(self.PARAMS, 1, interference=-1e9) == 0.995
+        assert link_delivery_prob(self.BASE_SNR, 0, interference=1e9) == 0.005
+        assert link_delivery_prob(self.BASE_SNR, 1, interference=-1e9) == 0.995
 
 
 class TestAnalyticOracle:
@@ -202,16 +197,15 @@ class TestAnalyticOracle:
     def test_split_bit_picks_the_route(self):
         # Mote 2 reaches the gateway directly (first link) or through mote 1.
         topo = NetworkTopology(
-            name="two-route",
             motes=(
-                Mote(1, rate=3, links=(Link(0, LinkParams(base_snr=5.5)),)),
-                Mote(2, rate=4, links=(Link(0, LinkParams(base_snr=3.0)), Link(1, LinkParams(base_snr=6.0)))),
+                Mote(1, rate=3, links=(Link(0, 5.5),)),
+                Mote(2, rate=4, links=(Link(0, 3.0), Link(1, 6.0))),
             ),
         )
         env = Environment(interference=(1.5, 2.0, 2.5), load=(1.0, 1.0))
-        q1 = link_delivery_prob(topo.motes[0].links[0].params, 1, 1.5)
-        q20 = link_delivery_prob(topo.motes[1].links[0].params, 0, 2.0)
-        q21 = link_delivery_prob(topo.motes[1].links[1].params, 0, 2.5)
+        q1 = link_delivery_prob(topo.motes[0].links[0].base_snr, 1, 1.5)
+        q20 = link_delivery_prob(topo.motes[1].links[0].base_snr, 0, 2.0)
+        q21 = link_delivery_prob(topo.motes[1].links[1].base_snr, 0, 2.5)
         view = NetworkView(topo, env)
         direct, relayed = 0b1_01, 0b0_01
         assert (view.route(direct)[1][0], view.route(relayed)[1][0]) == (0, 1)
@@ -305,10 +299,9 @@ class TestSimulation:
         # generates none: what mote 1 passes on depends only on what it got.
         n, runs, q = 5, 200_000, 0.7
         topo = NetworkTopology(
-            name="chain",
             motes=(
-                Mote(1, rate=0, links=(Link(0, LinkParams(base_snr=5.0)),)),
-                Mote(2, rate=n, links=(Link(1, LinkParams(base_snr=5.0)),)),
+                Mote(1, rate=0, links=(Link(0, 5.0),)),
+                Mote(2, rate=n, links=(Link(1, 5.0),)),
             ),
         )
         env = initial_environment(topo)

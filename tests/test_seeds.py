@@ -1,17 +1,14 @@
 """Deterministic seed derivation: scalar/vector equivalence and stream quality."""
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from adaptlab.seeds import (
     MASK64,
-    bernoulli_from_stream,
     derive_seeds,
     hash01,
     mix64,
-    probability_threshold,
     splitmix64,
     splitmix64_array,
     stream_uint64,
@@ -93,31 +90,3 @@ class TestDerivedSeeds:
         assert all(0.0 <= v < 1.0 for v in values)
         assert 0.45 < np.mean(values) < 0.55
 
-
-class TestBernoulli:
-    def test_endpoints_exact(self):
-        draws = derive_seeds(5, 1000)
-        assert not bernoulli_from_stream(draws, 0.0).any()
-        assert bernoulli_from_stream(draws, -0.1).sum() == 0
-        assert bernoulli_from_stream(draws, 1.0).all()
-        assert bernoulli_from_stream(draws, 1.1).all()
-
-    def test_threshold_monotone(self):
-        ps = [0.0, 0.1, 0.25, 0.5, 0.9, 1.0]
-        thresholds = [probability_threshold(p) for p in ps]
-        assert thresholds == sorted(thresholds)
-        assert thresholds[0] == 0
-        assert thresholds[-1] == 1 << 64
-
-    def test_empirical_rate_close(self):
-        draws = derive_seeds(123, 200_000)
-        for p in (0.05, 0.5, 0.87):
-            rate = bernoulli_from_stream(draws, p).mean()
-            assert abs(rate - p) < 0.005
-
-    def test_same_draws_nested_probabilities(self):
-        # A draw accepted at p is accepted at every larger p: thresholds nest.
-        draws = derive_seeds(9, 10_000)
-        low = bernoulli_from_stream(draws, 0.3)
-        high = bernoulli_from_stream(draws, 0.6)
-        assert not (low & ~high).any()
