@@ -13,6 +13,7 @@ from adaptlab.seeds import (
     splitmix64_array,
     stream_uint64,
 )
+from adaptlab.smc import BernoulliModel
 
 uint64s = st.integers(min_value=0, max_value=MASK64)
 
@@ -90,3 +91,21 @@ class TestDerivedSeeds:
         assert all(0.0 <= v < 1.0 for v in values)
         assert 0.45 < np.mean(values) < 0.55
 
+
+class TestBernoulli:
+    """Bernoulli hits drawn by thresholding the seed stream (smc.BernoulliModel)."""
+
+    def test_threshold_monotone(self):
+        # The hit count grows with p, from no hits at p 0 to every run at p 1.
+        seeds = derive_seeds(7, 5000)
+        counts = [BernoulliModel(p).simulate_batch(seeds).sum() for p in (0.0, 0.1, 0.25, 0.5, 0.9, 1.0)]
+        assert counts == sorted(counts)
+        assert counts[0] == 0
+        assert counts[-1] == 5000
+
+    def test_same_draws_nested_probabilities(self):
+        # A run that hits at p hits at every larger p on the same seed.
+        seeds = derive_seeds(9, 10_000)
+        ladder = [BernoulliModel(p).simulate_batch(seeds) for p in (0.0, 0.1, 0.3, 0.6, 0.9, 1.0)]
+        for low, high in zip(ladder, ladder[1:]):
+            assert not ((low == 1.0) & (high == 0.0)).any()
