@@ -210,8 +210,9 @@ class NetworkView:
     """The network at one environment, computed once per cycle for every
     option's oracle value and model: each mote's generated packets and the
     delivery probability q of every (link, power) pair, or
-    ``delivery_override`` for all of them. Binomial tables are built on
-    first use and shared by the view's models for as long as it lives.
+    ``delivery_override`` for all of them. There is one Binomial table per
+    q, built on first use, extended when a model needs more rows, and
+    shared by the view's models for as long as it lives.
     """
 
     def __init__(self, topology: NetworkTopology, env: Environment, delivery_override: float | None = None):
@@ -235,7 +236,7 @@ class NetworkView:
             (split_bits.get(mote.mote_id), [(link.parent, qs(mote, link)) for link in mote.links])
             for mote in topology.motes
         ]
-        self._tables: dict[tuple[int, float], np.ndarray] = {}
+        self._tables: dict[float, BinomialTable] = {}
 
     def route(self, option_id: int) -> list[tuple[int, float]]:
         """Per mote (ascending id), ``(parent, q)`` of the one link the option
@@ -249,11 +250,13 @@ class NetworkView:
             route.append((parent, qs[(option_id >> power_bit) & 1]))
         return route
 
-    def binomial_keys(self, cap: int, q: float) -> np.ndarray:
-        """``_binomial_keys(cap, q)``, built once per view."""
-        if (cap, q) not in self._tables:
-            self._tables[cap, q] = _binomial_keys(cap, q)
-        return self._tables[cap, q]
+    def binomial_table(self, cap: int, q: float) -> "BinomialTable":
+        """The view's table for q, holding at least rows 0..cap."""
+        if q not in self._tables:
+            self._tables[q] = BinomialTable(q)
+        table = self._tables[q]
+        table.extend(cap)
+        return table
 
 
 def true_expected_loss(view: NetworkView) -> np.ndarray:
@@ -292,8 +295,9 @@ MAX_MOTE_PACKETS = (1 << (64 - _KEY_SHIFT)) - 2
 _ROW_STARTS = np.array([k * (k - 1) // 2 for k in range(MAX_MOTE_PACKETS + 1)], dtype=np.uint64)
 
 
-def _binomial_keys(cap: int, q: float) -> np.ndarray:
-    """Inverse-CDF keys of Binomial(k, q) for every k in 0..cap.
+class BinomialTable:
+    """Inverse-CDF keys of Binomial(k, q) for every k in 0..cap, in
+    ``keys``; ``extend`` appends rows up to a larger cap.
 
     Row k holds, for j in 0..k-1, the key (k << 56) + floor(F_k(j) * 2^56),
     where F_k(j) = P(Binomial(k, q) <= j); F_k(k) = 1 needs no key. For a
@@ -301,23 +305,36 @@ def _binomial_keys(cap: int, q: float) -> np.ndarray:
     #{j < k : F_k(j) * 2^56 <= u}, the inverse CDF at u. Every earlier row's
     keys lie at or below k << 56 and every later row's above it, so
     ``searchsorted(keys, (k << 56) + u, side="right") - _ROW_STARTS[k]``
-    counts exactly those.
+    counts exactly those, however many rows the table holds.
 
     The rows come from Pascal's rule F_k(j) = q F_{k-1}(j-1) + (1-q) F_{k-1}(j),
     with F_{k-1}(-1) = 0 and F_{k-1}(j) = 1 for j >= k-1: only + and x of
-    IEEE doubles, so the keys have the same bits on every platform. q = 0
-    keeps every F at 1 (nothing delivered) and q = 1 every F below k at 0
-    (all delivered), both exactly.
+    IEEE doubles, so the keys have the same bits on every platform and do
+    not depend on how the table was extended. q = 0 keeps every F at 1
+    (nothing delivered) and q = 1 every F below k at 0 (all delivered), both
+    exactly.
     """
-    r = 1.0 - q
-    fractions = []  # F_k(j) for k in 1..cap, j in 0..k-1, row by row
-    cdf = []  # the latest row
-    for _ in range(cap):
-        cdf = [r * a + q * b for a, b in zip(cdf + [1.0], [0.0] + cdf)]
-        fractions += cdf
-    counts = np.arange(cap + 1)
-    rows = np.repeat(counts.astype(np.uint64), counts)
-    return (rows << np.uint64(_KEY_SHIFT)) + np.floor(np.array(fractions) * 2.0**_KEY_SHIFT).astype(np.uint64)
+
+    def __init__(self, q: float):
+        self.q = q
+        self.cap = 0
+        self.keys = np.empty(0, dtype=np.uint64)
+        self._cdf: list[float] = []  # F_cap(j) for j in 0..cap-1
+
+    def extend(self, cap: int) -> None:
+        if cap <= self.cap:
+            return
+        q, r = self.q, 1.0 - self.q
+        cdf = self._cdf
+        fractions = []  # F_k(j) for the new k, j in 0..k-1, row by row
+        for _ in range(self.cap, cap):
+            cdf = [r * a + q * b for a, b in zip(cdf + [1.0], [0.0] + cdf)]
+            fractions += cdf
+        counts = np.arange(self.cap + 1, cap + 1)
+        rows = np.repeat(counts.astype(np.uint64), counts)
+        new = (rows << np.uint64(_KEY_SHIFT)) + np.floor(np.array(fractions) * 2.0**_KEY_SHIFT).astype(np.uint64)
+        self.keys = np.concatenate([self.keys, new])
+        self.cap, self._cdf = cap, cdf
 
 
 class NetworkModel:
@@ -329,9 +346,9 @@ class NetworkModel:
     run (its own plus those its children delivered), the count it delivers
     to its parent is Binomial(k, q). Run s draws that count by inverse CDF
     from one uniform per mote, ``stream_uint64(s, mote_id)``, processing
-    children before parents. The tables for every reachable k are taken from
-    the view at construction, so a batch over many seeds is bit-identical to
-    batches of one seed each.
+    children before parents. The view's tables cover every reachable k from
+    construction on, so a batch over many seeds is bit-identical to batches
+    of one seed each.
     """
 
     def __init__(self, view: NetworkView, option_id: int):
@@ -341,7 +358,7 @@ class NetworkModel:
         self._mote_ids = np.arange(1, len(generated) + 1, dtype=np.uint64)
 
         # Plan rows, children before parents (parent ids are smaller by
-        # construction): (mote_id, generated, parent, keys). cap is
+        # construction): (mote_id, generated, parent, table). cap is
         # the most packets the mote can hold in one run.
         inbound = [0] * (len(generated) + 1)
         self._plan = []
@@ -355,7 +372,7 @@ class NetworkModel:
                     f"mote {mote_id} may hold {cap} packets in one run, above {MAX_MOTE_PACKETS}"
                 )
             inbound[parent] += cap
-            self._plan.append((mote_id, generated[mote_id - 1], parent, view.binomial_keys(cap, q)))
+            self._plan.append((mote_id, generated[mote_id - 1], parent, view.binomial_table(cap, q)))
 
     def simulate_batch(self, seeds: np.ndarray) -> np.ndarray:
         seeds = np.asarray(seeds, dtype=np.uint64)
@@ -367,9 +384,9 @@ class NetworkModel:
         uniforms = stream_uint64(seeds[None, :], self._mote_ids[:, None]) >> np.uint64(64 - _KEY_SHIFT)
         arrivals = np.zeros((len(self._mote_ids) + 1, n_runs), dtype=np.uint64)
         shift = np.uint64(_KEY_SHIFT)
-        for mote_id, generated, parent, keys in self._plan:
+        for mote_id, generated, parent, table in self._plan:
             packets = arrivals[mote_id] + generated
-            index = np.searchsorted(keys, (packets << shift) | uniforms[mote_id - 1], side="right")
+            index = np.searchsorted(table.keys, (packets << shift) | uniforms[mote_id - 1], side="right")
             arrivals[parent] += index.astype(np.uint64) - _ROW_STARTS[packets]
         lost = total - arrivals[0]
         return lost.astype(np.float64) / total

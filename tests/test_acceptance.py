@@ -154,7 +154,9 @@ def test_criterion_4_smc_coverage_and_sizing(capsys):
         )
         assert report["coverage"] >= 0.92
         info["coverage"] = f"{report['coverage']:.3f}"
-        info["samples_per_estimate"] = report["samples_per_estimate"]
+        info["mean_samples_used"] = f"{report['mean_samples_used']:.0f}"
+        info["max_samples_used"] = report["max_samples_used"]
+        info["samples_cap"] = report["samples_cap"]
 
 
 def test_criterion_5_regressor_recovery(capsys):

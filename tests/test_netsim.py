@@ -350,8 +350,52 @@ class TestNetworkView:
         assert low._plan[0][3] is high._plan[0][3]
         assert low._plan[-1][3] is not high._plan[-1][3]  # mote 1's q differs
         other = NetworkModel(NetworkView(DESK, initial_environment(DESK)), 0)
-        assert np.array_equal(other._plan[0][3], low._plan[0][3])
+        assert np.array_equal(other._plan[0][3].keys, low._plan[0][3].keys)
         assert other._plan[0][3] is not low._plan[0][3]
+
+    def test_shared_tables_simulate_like_per_model_tables(self):
+        # Every desk option from one view, whose tables grow as models ask
+        # for more rows, against a view that builds a fresh table of exactly
+        # the rows each mote needs, as each model once did.
+        env = initial_environment(DESK)
+        for step in range(5):
+            env = environment_step(env, EnvironmentWalk(), 9100 + step)
+        shared, fresh = NetworkView(DESK, env), NetworkView(DESK, env)
+
+        def exact_table(cap, q):
+            table = netsim.BinomialTable(q)
+            table.extend(cap)
+            return table
+
+        fresh.binomial_table = exact_table
+        seeds = derive_seeds(31, 400)
+        for oid in range(DESK.option_count):
+            expected = NetworkModel(fresh, oid).simulate_batch(seeds)
+            assert np.array_equal(NetworkModel(shared, oid).simulate_batch(seeds), expected), oid
+
+    def test_extended_table_equals_one_built_at_once(self):
+        for q in (0.0, 0.37, 0.995, 1.0):
+            stepped, direct = netsim.BinomialTable(q), netsim.BinomialTable(q)
+            for cap in (1, 2, 2, 5, 9, 14):
+                stepped.extend(cap)
+            direct.extend(14)
+            assert stepped.cap == direct.cap == 14
+            assert np.array_equal(stepped.keys, direct.keys), q
+
+    def test_one_table_per_distinct_q(self, monkeypatch):
+        built = []
+
+        class CountingTable(netsim.BinomialTable):
+            def __init__(self, q):
+                super().__init__(q)
+                built.append(q)
+
+        monkeypatch.setattr(netsim, "BinomialTable", CountingTable)
+        view = NetworkView(DESK, initial_environment(DESK))
+        for oid in range(DESK.option_count):
+            NetworkModel(view, oid)
+        distinct = {q for _, links in view.choices for _, qs in links for q in qs}
+        assert sorted(built) == sorted(distinct)
 
     def test_warmup_cycle_holds_one_model_at_a_time(self, monkeypatch):
         live = []

@@ -1,4 +1,6 @@
-"""Model checker: sample sizing, determinism, scaling, coverage."""
+"""Model checker: sample sizing, sequential stopping, determinism, scaling, coverage."""
+
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from adaptlab.smc import (
     StochasticModel,
     coverage_experiment,
     estimate,
+    first_check,
     required_samples,
     verify_options,
 )
@@ -33,6 +36,38 @@ class OneSeedAtATimeBernoulli:
 
     def simulate_batch(self, seeds: np.ndarray) -> np.ndarray:
         return np.concatenate([self._inner.simulate_batch(seeds[i:i + 1]) for i in range(len(seeds))])
+
+
+def reference_estimate(model, config, base_seed):
+    """(raw mean, runs) of the sequential rule as a plain loop: checks at
+    ceil(1.5 ln(4/alpha) / ln(1 + eps/2)), then 1.5x further each time, up to
+    the Hoeffding size at alpha/2; stop once the hedged betting capital (bets
+    sqrt(2 ln(2/a) / (var_{t-1} t ln(1+t))) truncated at 1/2 and at 1/2 over
+    the distance to the bound) reaches 2/a at both center -/+ eps, a = alpha/2."""
+    eps, level = config.epsilon, config.alpha / 2
+    cap = math.ceil(math.log(2 / level) / (2 * eps * eps))
+    n = min(cap, math.ceil(1.5 * math.log(4 / config.alpha) / math.log1p(eps / 2)))
+    target = math.log(2 / level)
+    while True:
+        xs = model.simulate_batch(derive_seeds(base_seed, n)).tolist()
+        center = math.fsum(xs) / n
+        if n == cap:
+            return center, n
+        low, high = center - eps, center + eps
+        up = down = 0.0
+        total, squares, var = 0.0, 0.0, 0.25
+        for t, x in enumerate(xs, start=1):
+            bet = min(0.5, math.sqrt(2 * target / (var * t * math.log1p(t))))
+            if low > 0:
+                up += math.log1p(min(bet, 0.5 / low) * (x - low))
+            if high < 1:
+                down += math.log1p(min(bet, 0.5 / (1 - high)) * (high - x))
+            total += x
+            squares += (x - (0.5 + total) / (t + 1)) ** 2
+            var = (0.25 + squares) / (t + 1)
+        if (low <= 0 or up >= target) and (high >= 1 or down >= target):
+            return center, n
+        n = min(cap, math.ceil(1.5 * n))
 
 
 class TestBernoulliModel:
@@ -74,7 +109,9 @@ class TestEstimate:
         assert est.mean == 25.0
         assert est.kappa == 10.0
         assert est.alpha == 0.1
-        assert est.samples_used == 150
+        # a constant stops at the first check, short of the fixed Hoeffding size
+        assert est.samples_used == first_check(0.1, 0.1) == 114
+        assert est.samples_used < required_samples(0.1, 0.1)
 
     def test_pure_function_of_seed(self):
         config = SmcConfig(epsilon=0.05, alpha=0.1)
@@ -91,7 +128,7 @@ class TestEstimate:
         config = SmcConfig(epsilon=0.05, alpha=0.1)
         batched = estimate(BernoulliModel(0.37), config, base_seed=21)
         scalar = estimate(OneSeedAtATimeBernoulli(0.37), config, base_seed=21)
-        assert batched.mean == scalar.mean
+        assert batched == scalar
 
     def test_kappa_scale_is_linear(self):
         model = BernoulliModel(0.5)
@@ -109,6 +146,48 @@ class TestEstimate:
             estimate(ConstantModel(1.5), SmcConfig(epsilon=0.1, alpha=0.1), 0)
         with pytest.raises(ValueError, match="outside"):
             estimate(ConstantModel(float("nan")), SmcConfig(epsilon=0.1, alpha=0.1), 0)
+
+
+class TestSequentialStopping:
+    def test_first_check_and_cap(self):
+        assert first_check(0.01, 0.1) == 1110
+        assert first_check(0.05, 0.1) == 225
+        assert required_samples(0.01, 0.05) == 18445
+
+    def test_max_variance_runs_to_the_half_alpha_cap(self):
+        config = SmcConfig(epsilon=0.05, alpha=0.1)
+        report = coverage_experiment(0.5, config, repetitions=300, base_seed=5)
+        cap = required_samples(0.05, 0.05)
+        assert report["samples_cap"] == report["max_samples_used"] == report["mean_samples_used"] == cap
+        assert report["passed"]
+
+    def test_near_constant_means_stop_at_the_first_check(self):
+        config = SmcConfig(epsilon=0.05, alpha=0.1)
+        for mean in (0.0, 0.01):
+            report = coverage_experiment(mean, config, repetitions=300, base_seed=6)
+            assert report["max_samples_used"] == first_check(0.05, 0.1) == 225, mean
+            assert report["max_samples_used"] < required_samples(0.05, 0.1)
+            assert report["passed"], mean
+
+    def test_matches_reference_loop(self):
+        config = SmcConfig(epsilon=0.02, alpha=0.1)
+        stops = set()
+        for p in (0.0, 0.02, 0.1, 0.3):
+            for seed in range(6):
+                est = estimate(BernoulliModel(p), config, seed)
+                center, runs = reference_estimate(BernoulliModel(p), config, seed)
+                assert (est.mean, est.samples_used) == (100.0 * center, runs), (p, seed)
+                stops.add(runs)
+        assert len(stops) >= 3  # first check, a later one and the cap
+
+    def test_one_seed_at_a_time_gives_the_same_estimate(self):
+        config = SmcConfig(epsilon=0.02, alpha=0.1)
+        used = set()
+        for seed in range(4):
+            batched = estimate(BernoulliModel(0.03), config, seed)
+            assert estimate(OneSeedAtATimeBernoulli(0.03), config, seed) == batched
+            used.add(batched.samples_used)
+        assert max(used) > first_check(0.02, 0.1)  # some estimates take several chunks
 
 
 class TestVerifyOptions:
@@ -155,7 +234,8 @@ class TestConfig:
 class TestCoverage:
     def test_quick_coverage_run_passes(self):
         report = coverage_experiment(0.5, SmcConfig(epsilon=0.05, alpha=0.05), repetitions=80, base_seed=1)
-        assert report["samples_per_estimate"] == required_samples(0.05, 0.05)
+        assert report["samples_cap"] == required_samples(0.05, 0.025)
+        assert report["mean_samples_used"] <= report["max_samples_used"] <= report["samples_cap"]
         assert report["hits"] <= 80
         assert report["passed"]
         assert report["coverage"] >= report["threshold"]
