@@ -172,11 +172,7 @@ class AdaptationEngine:
             # Python ints: mix64 seeds each option from its id
             candidate_ids = np.flatnonzero(predictions <= cut).tolist()
 
-        verified = verify_options(
-            ((oid, NetworkModel(view, oid)) for oid in candidate_ids),  # built one at a time
-            self.config.smc,
-            smc_seed,
-        )
+        verified = verify_options(NetworkModel(view, candidate_ids), candidate_ids, self.config.smc, smc_seed)
         selected_id, _ = min(verified, key=lambda pair: (pair[1].mean, pair[0]))
 
         verified_ids = [oid for oid, _ in verified]

@@ -20,12 +20,13 @@ environment, built once per adaptation cycle:
 - ``true_expected_loss``: exact expected packet-loss percentage of every
   option, by propagating expected traffic through the DAG (no sampling).
   Used as the ground-truth oracle when measuring decision error.
-- ``NetworkModel``: one option, one stochastic period per seed. A mote
-  holding k packets delivers Binomial(k, q) of them over its link, drawn by
-  inverse CDF from one uniform per (seed, mote), children before parents. Each
-  draw is addressed by (seed, mote id), so a batch of runs is
-  bit-identical to the same runs executed one by one (as batches of one) -
-  which is what makes SMC estimates over this model reproducible.
+- ``NetworkModel``: a list of options, one stochastic period per (option,
+  seed). A mote holding k packets delivers Binomial(k, q) of them over its
+  link, drawn by inverse CDF from one uniform per (seed, mote), children
+  before parents. Each draw is addressed by (seed, mote id), so a batch of
+  runs over many options is bit-identical to the same runs executed one by
+  one (as batches of one) - which is what makes SMC estimates over this
+  model reproducible.
 
 Packet counts per mote are ``round(rate * load)`` - deterministic given
 the environment - and each mote's route is fixed by the option, so the
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -219,6 +221,7 @@ class NetworkView:
         if delivery_override is not None and not 0.0 <= delivery_override <= 1.0:
             raise ValueError(f"delivery probability {delivery_override} outside [0, 1]")
         self.topology = topology
+        self.option_count = topology.option_count
         # round() is banker's rounding; fine, it just needs to be deterministic.
         self.generated = [max(0, round(m.rate * env.load[m.mote_id - 1])) for m in topology.motes]
         interference = dict(zip(topology.link_order, env.interference))
@@ -242,8 +245,8 @@ class NetworkView:
         """Per mote (ascending id), ``(parent, q)`` of the one link the option
         routes its traffic over (split bit 1 picks the first-listed link, 0
         the second), at the power its power bit sets (1 for high)."""
-        if not 0 <= option_id < self.topology.option_count:
-            raise ValueError(f"option_id {option_id} outside [0, {self.topology.option_count})")
+        if not 0 <= option_id < self.option_count:
+            raise ValueError(f"option_id {option_id} outside [0, {self.option_count})")
         route = []
         for power_bit, (split_bit, links) in enumerate(self.choices):
             parent, qs = links[0 if split_bit is None else 1 - ((option_id >> split_bit) & 1)]
@@ -338,56 +341,84 @@ class BinomialTable:
 
 
 class NetworkModel:
-    """One option of a network view as a stochastic model.
+    """Options of one network view as a stochastic model, row i for
+    option_ids[i].
 
-    ``simulate_batch`` plays one network period per seed and returns each
-    run's lost-packet fraction in [0, 1]. Each mote forwards all its packets
-    over the one link the option picks, so given the k packets it holds in a
-    run (its own plus those its children delivered), the count it delivers
-    to its parent is Binomial(k, q). Run s draws that count by inverse CDF
-    from one uniform per mote, ``stream_uint64(s, mote_id)``, processing
-    children before parents. The view's tables cover every reachable k from
-    construction on, so a batch over many seeds is bit-identical to batches
-    of one seed each.
+    ``simulate_batch`` plays one network period per (row, seed) and returns
+    each run's lost-packet fraction in [0, 1]. Each mote forwards all its
+    packets over the one link the row's option picks, so given the k packets
+    it holds in a run (its own plus those its children delivered), the count
+    it delivers to its parent is Binomial(k, q). Run s draws that count by
+    inverse CDF from one uniform per mote, ``stream_uint64(s, mote_id)``,
+    processing children before parents. Per mote, the options are grouped by
+    the (parent, q) of their link, and each group's runs are looked up in
+    one ``searchsorted`` on the view's table for q. The tables cover every
+    reachable k from construction on, so an outcome depends only on its
+    option and seed: a batch over many rows and seeds is bit-identical to
+    batches of one row and one seed each.
     """
 
-    def __init__(self, view: NetworkView, option_id: int):
-        route = view.route(option_id)
+    def __init__(self, view: NetworkView, option_ids: Sequence[int]):
+        routes = [view.route(option_id) for option_id in option_ids]
         generated = view.generated
         self._total_generated = sum(generated)
-        self._mote_ids = np.arange(1, len(generated) + 1, dtype=np.uint64)
+        self._mote_count = len(generated)
 
         # Plan rows, children before parents (parent ids are smaller by
-        # construction): (mote_id, generated, parent, table). cap is
-        # the most packets the mote can hold in one run.
-        inbound = [0] * (len(generated) + 1)
+        # construction): (mote_id, generated, group, groups), where group[i]
+        # is the index of option i's (parent, q) among the mote's links and
+        # groups lists (index, parent, table) of those that carry packets.
+        # inbound[m][i] is the most packets mote m's children can pass it in
+        # one run of option i, and caps[g] the most packets the mote holds in
+        # one run of any option of group g.
+        inbound = [[0] * len(routes) for _ in range(len(generated) + 1)]
         self._plan = []
         for mote_id in range(len(generated), 0, -1):
-            parent, q = route[mote_id - 1]
-            cap = generated[mote_id - 1] + inbound[mote_id]
-            if cap == 0:
-                continue
-            if cap > MAX_MOTE_PACKETS:
+            links: dict[tuple[int, float], int] = {}
+            group, caps = [], []
+            own, arriving = generated[mote_id - 1], inbound[mote_id]
+            for i, route in enumerate(routes):
+                link = route[mote_id - 1]
+                index = links.get(link)
+                if index is None:
+                    index = links[link] = len(caps)
+                    caps.append(0)
+                cap = own + arriving[i]
+                if cap > caps[index]:
+                    caps[index] = cap
+                inbound[link[0]][i] += cap
+                group.append(index)
+            if caps and max(caps) > MAX_MOTE_PACKETS:
                 raise ValueError(
-                    f"mote {mote_id} may hold {cap} packets in one run, above {MAX_MOTE_PACKETS}"
+                    f"mote {mote_id} may hold {max(caps)} packets in one run, above {MAX_MOTE_PACKETS}"
                 )
-            inbound[parent] += cap
-            self._plan.append((mote_id, generated[mote_id - 1], parent, view.binomial_table(cap, q)))
+            groups = [
+                (index, parent, view.binomial_table(caps[index], q))
+                for (parent, q), index in links.items()
+                if caps[index] > 0
+            ]
+            if groups:
+                self._plan.append((mote_id, generated[mote_id - 1], np.array(group, dtype=np.intp), groups))
 
-    def simulate_batch(self, seeds: np.ndarray) -> np.ndarray:
+    def simulate_batch(self, rows: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        rows = np.asarray(rows, dtype=np.intp)
         seeds = np.asarray(seeds, dtype=np.uint64)
-        n_runs = seeds.shape[0]
         total = self._total_generated
         if total == 0:
-            return np.zeros(n_runs, dtype=np.float64)
-        # Row m-1: the 56-bit uniform of mote m in every run.
-        uniforms = stream_uint64(seeds[None, :], self._mote_ids[:, None]) >> np.uint64(64 - _KEY_SHIFT)
-        arrivals = np.zeros((len(self._mote_ids) + 1, n_runs), dtype=np.uint64)
+            return np.zeros(seeds.shape, dtype=np.float64)
+        arrivals = np.zeros((self._mote_count + 1,) + seeds.shape, dtype=np.uint64)
         shift = np.uint64(_KEY_SHIFT)
-        for mote_id, generated, parent, table in self._plan:
+        for mote_id, generated, group, groups in self._plan:
             packets = arrivals[mote_id] + generated
-            index = np.searchsorted(table.keys, (packets << shift) | uniforms[mote_id - 1], side="right")
-            arrivals[parent] += index.astype(np.uint64) - _ROW_STARTS[packets]
+            # the mote's 56-bit uniform in every (row, run)
+            uniforms = stream_uint64(seeds, np.uint64(mote_id)) >> np.uint64(64 - _KEY_SHIFT)
+            keys = (packets << shift) | uniforms
+            active = group[rows]
+            for index, parent, table in groups:
+                members = np.flatnonzero(active == index)
+                if len(members):
+                    found = np.searchsorted(table.keys, keys[members], side="right")
+                    arrivals[parent, members] += found.astype(np.uint64) - _ROW_STARTS[packets[members]]
         lost = total - arrivals[0]
         return lost.astype(np.float64) / total
 

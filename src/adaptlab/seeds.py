@@ -71,7 +71,7 @@ def stream_uint64(seeds: np.ndarray, indices: np.ndarray) -> np.ndarray:
         return splitmix64_array(h ^ indices)
 
 
-def derive_seeds(base_seed: int, stop: int, start: int = 0) -> np.ndarray:
-    """uint64 array of ``mix64(base_seed, i)`` for i in start..stop-1."""
-    return stream_uint64(np.uint64(base_seed & MASK64), np.arange(start, stop, dtype=np.uint64))
+def derive_seeds(base_seed: int, n: int) -> np.ndarray:
+    """uint64 array of ``mix64(base_seed, i)`` for i in 0..n-1."""
+    return stream_uint64(np.uint64(base_seed & MASK64), np.arange(n, dtype=np.uint64))
 

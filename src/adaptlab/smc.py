@@ -25,34 +25,44 @@ variance outcomes stop after about a thousand runs at epsilon 0.01 where
 the fixed Hoeffding size at alpha is 14 979; outcomes of variance near 1/4
 run to the cap.
 
+Lockstep. Many estimates share that grid: ``verify_options`` gives each
+option a row of one model, and the rows of a group (at most ``RUN_BUDGET``
+runs at the first check) advance together, one ``simulate_batch`` call and
+one row-wise stopping check per check for every row still running.
+``estimate`` and ``coverage_experiment`` are the one-row and many-row cases
+of the same code.
+
 Determinism contract: per-run seeds are derived from (base_seed,
 run_index) with :func:`adaptlab.seeds.mix64`, so each chunk continues the
 same seed stream and outcomes are collected in run-index order. The
 reported mean is an exactly rounded sum over all outcomes drawn. The stop
-decision uses float ``cumsum`` and ``log1p`` over the same outcomes, so it
-is deterministic on one machine and numpy build. An estimate is thus a
-pure function of (model, config, base_seed), and a model that simulates
-its runs one seed at a time gives the same estimate, run count included,
-as one that simulates them in a single batch.
+decision uses float ``cumsum`` and ``log1p`` over the same outcomes, row by
+row, so it is deterministic on one machine and numpy build. An estimate is
+thus a pure function of (model row, config, base_seed): it does not depend
+on which rows share its group, and a model that simulates its runs one seed
+at a time gives the same estimate, run count included, as one that
+simulates them in a single batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .seeds import derive_seeds, mix64, stream_uint64
+from .seeds import MASK64, mix64, stream_uint64
 
 
 @runtime_checkable
 class StochasticModel(Protocol):
-    """One simulatable system: one run outcome in [0, 1] per seed, each
-    deterministic per its seed alone (so any batching gives the same values)."""
+    """Simulatable systems, one per row. ``simulate_batch(rows, seeds)``
+    returns, for seeds of shape (len(rows), n), the outcome in [0, 1] of row
+    rows[i] run with seed seeds[i, j] at [i, j]; each outcome is determined
+    by its (row, seed) alone, so any batching gives the same values."""
 
-    def simulate_batch(self, seeds: np.ndarray) -> np.ndarray: ...
+    def simulate_batch(self, rows: np.ndarray, seeds: np.ndarray) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -110,81 +120,130 @@ def first_check(epsilon: float, alpha: float) -> int:
     return math.ceil(_GROWTH * math.log(4.0 / alpha) / math.log1p(epsilon / 2.0))
 
 
-def _interval_fits(outcomes: np.ndarray, center: float, epsilon: float, level: float) -> bool:
-    """Whether the hedged betting confidence sequence at ``level`` rules out
-    every mean in [0, 1] more than epsilon away from center.
+def _intervals_fit(outcomes: np.ndarray, centers: np.ndarray, epsilon: float, level: float) -> np.ndarray:
+    """Per row of ``outcomes`` (one row per estimate, one column per run),
+    whether the hedged betting confidence sequence at ``level`` rules out
+    every mean in [0, 1] more than epsilon away from the row's center.
 
     The capital betting on the mean exceeding m, prod(1 + l+ (x - m)), is
     non-increasing in m, and the one betting on it falling short,
     prod(1 - l- (x - m)), is non-decreasing, so rejecting the two edge
     points center -/+ epsilon rejects both tails. A point is rejected when
     half its capital reaches 1/level; an edge outside (0, 1) has no tail
-    left to reject.
+    left to reject. Every operation works along a row (``cumsum`` is
+    sequential and each row's log-capital is summed on its own), so a row's
+    answer does not depend on the rows beside it.
     """
-    t = np.arange(1, len(outcomes) + 1, dtype=np.float64)
-    means = (0.5 + np.cumsum(outcomes)) / (t + 1.0)
-    variances = (0.25 + np.cumsum((outcomes - means) ** 2)) / (t + 1.0)
-    prior = np.concatenate(([0.25], variances[:-1]))  # each bet sees only earlier runs
+    t = np.arange(1, outcomes.shape[1] + 1, dtype=np.float64)
+    means = (0.5 + np.cumsum(outcomes, axis=1)) / (t + 1.0)
+    variances = (0.25 + np.cumsum((outcomes - means) ** 2, axis=1)) / (t + 1.0)
+    prior = np.empty_like(variances)  # each bet sees only earlier runs
+    prior[:, 0], prior[:, 1:] = 0.25, variances[:, :-1]
     log_target = math.log(2.0 / level)  # the hedge: half the capital must reach 1/level
     bets = np.minimum(_BET_CAP, np.sqrt(2.0 * log_target / (prior * t * np.log1p(t))))
-    low, high = center - epsilon, center + epsilon
-    if low > 0.0:
-        up = np.minimum(bets, _BET_CAP / low)
-        if float(np.sum(np.log1p(up * (outcomes - low)))) < log_target:
-            return False
-    if high < 1.0:
-        down = np.minimum(bets, _BET_CAP / (1.0 - high))
-        if float(np.sum(np.log1p(down * (high - outcomes)))) < log_target:
-            return False
-    return True
+    fits = np.ones(len(outcomes), dtype=bool)
+    low, high = centers - epsilon, centers + epsilon
+    up = np.flatnonzero(low > 0.0)
+    if len(up):
+        edge = low[up, None]
+        capital = np.log1p(np.minimum(bets[up], _BET_CAP / edge) * (outcomes[up] - edge)).sum(axis=1)
+        fits[up] = capital >= log_target
+    down = np.flatnonzero(high < 1.0)
+    if len(down):
+        edge = high[down, None]
+        capital = np.log1p(np.minimum(bets[down], _BET_CAP / (1.0 - edge)) * (edge - outcomes[down])).sum(axis=1)
+        fits[down] &= capital >= log_target
+    return fits
+
+
+# Runs simulated at most in one call at the first check: the estimates of
+# RUN_BUDGET // first_check(epsilon, alpha) rows advance together.
+RUN_BUDGET = 8192
+
+
+def _estimate_rows(
+    model: StochasticModel,
+    config: SmcConfig,
+    seeds: Sequence[int],
+    row_name: Callable[[int], str],
+) -> list[SmcEstimate]:
+    """Estimate row r of the model from the seed stream ``mix64(seeds[r], i)``,
+    for every r, in groups of rows that advance in lockstep.
+
+    All rows of a group share the grid of checks: at each one, the rows still
+    running get their next runs from one ``simulate_batch`` call, and one
+    row-wise stopping check retires those whose interval fits, or all of them
+    at the cap. A row's runs, stop and mean are those it would have alone.
+    """
+    epsilon, level = config.epsilon, config.alpha / 2.0
+    cap = required_samples(epsilon, level)
+    first = first_check(epsilon, config.alpha)
+    group = max(1, RUN_BUDGET // first)
+    keys = np.array([seed & MASK64 for seed in seeds], dtype=np.uint64)
+    centers, used = [0.0] * len(keys), [0] * len(keys)
+    for start in range(0, len(keys), group):
+        running = np.arange(start, min(start + group, len(keys)))  # rows whose estimate has not stopped
+        outcomes = np.empty((len(running), 0))
+        done, n = 0, min(cap, first)
+        while len(running):
+            seeds_now = stream_uint64(keys[running, None], np.arange(done, n, dtype=np.uint64))
+            chunk = np.asarray(model.simulate_batch(running, seeds_now), dtype=np.float64)
+            if chunk.shape != seeds_now.shape:
+                raise ValueError(f"model returned {chunk.shape} outcomes for {seeds_now.shape} runs")
+            bad = ~((chunk >= 0.0) & (chunk <= 1.0))
+            if bad.any():
+                r, j = np.unravel_index(np.argmax(bad), chunk.shape)
+                raise ValueError(
+                    f"run {done + j} of {row_name(int(running[r]))} produced outcome "
+                    f"{float(chunk[r, j])!r} outside [0, 1]"
+                )
+            outcomes = np.concatenate([outcomes, chunk], axis=1)
+            means = [math.fsum(row) / n for row in outcomes.tolist()]
+            if n == cap:
+                stop = np.ones(len(running), dtype=bool)
+            else:
+                stop = _intervals_fit(outcomes, np.array(means), epsilon, level)
+            for position in np.flatnonzero(stop).tolist():
+                centers[running[position]] = means[position]
+                used[running[position]] = n
+            running, outcomes = running[~stop], outcomes[~stop]
+            done, n = n, min(cap, math.ceil(_GROWTH * n))
+    return [
+        SmcEstimate(mean=config.kappa_scale * center, kappa=config.kappa, alpha=config.alpha, samples_used=runs)
+        for center, runs in zip(centers, used)
+    ]
 
 
 def estimate(model: StochasticModel, config: SmcConfig, base_seed: int) -> SmcEstimate:
-    """Estimate the model's expected outcome in quality units.
+    """Estimate the expected outcome of the model's row 0 in quality units.
 
     Simulates runs with per-run seeds ``mix64(base_seed, run_index)``, one
-    ``simulate_batch`` call per chunk, until the betting confidence
+    ``simulate_batch`` call per check, until the betting confidence
     sequence at alpha/2 fits within +/-epsilon of the running mean or the
     run count reaches ``required_samples(epsilon, alpha / 2)``. Returns
     ``kappa_scale * sum(outcomes) / n`` with half-width kappa and n as
     ``samples_used``. A run outcome outside [0, 1] is a model bug and raises.
     """
-    epsilon, level = config.epsilon, config.alpha / 2.0
-    cap = required_samples(epsilon, level)
-    outcomes = np.empty(0)
-    n = min(cap, first_check(epsilon, config.alpha))
-    while True:
-        chunk = np.asarray(model.simulate_batch(derive_seeds(base_seed, n, len(outcomes))), dtype=np.float64)
-        if chunk.shape != (n - len(outcomes),):
-            raise ValueError(f"model returned {chunk.shape} outcomes for {n - len(outcomes)} runs")
-        low, high = float(chunk.min()), float(chunk.max())
-        if not (math.isfinite(low) and math.isfinite(high)) or low < 0.0 or high > 1.0:
-            bad = int(np.argmax((chunk < 0.0) | (chunk > 1.0) | ~np.isfinite(chunk)))
-            raise ValueError(f"run {len(outcomes) + bad} produced outcome {chunk[bad]!r} outside [0, 1]")
-        outcomes = np.concatenate([outcomes, chunk])
-        center = math.fsum(outcomes.tolist()) / n
-        if n == cap or _interval_fits(outcomes, center, epsilon, level):
-            break
-        n = min(cap, math.ceil(_GROWTH * n))
-    return SmcEstimate(mean=config.kappa_scale * center, kappa=config.kappa, alpha=config.alpha, samples_used=n)
+    return _estimate_rows(model, config, [base_seed], lambda row: "the model")[0]
 
 
 def verify_options(
-    options: Iterable[tuple[int, StochasticModel]],
+    model: StochasticModel,
+    option_ids: Sequence[int],
     config: SmcConfig,
     base_seed: int,
 ) -> list[tuple[int, SmcEstimate]]:
-    """Estimate every (id, model) pair, seeding each option from its id.
+    """Estimate every option, row i of the model being option_ids[i], as
+    (id, estimate) pairs in the order of option_ids.
 
-    Per-option seeds depend only on (base_seed, id), so the estimates are
-    identical however the input is ordered. Each model is released before
-    the next pair is drawn, so a generator of pairs keeps one model alive.
+    Each option's estimate is that of :func:`estimate` at base seed
+    ``mix64(base_seed, id)``: it depends only on (base_seed, id) and the
+    option's outcomes, not on the order of the ids or on which options share
+    its lockstep group.
     """
-    verified = []
-    for option_id, model in options:
-        verified.append((option_id, estimate(model, config, mix64(base_seed, option_id))))
-        del model
-    return verified
+    ids = list(option_ids)
+    seeds = [mix64(base_seed, oid) for oid in ids]
+    return list(zip(ids, _estimate_rows(model, config, seeds, lambda row: f"option {ids[row]}")))
 
 
 class BernoulliModel:
@@ -197,7 +256,8 @@ class BernoulliModel:
             raise ValueError("p must lie in [0, 1]")
         self.p = p
 
-    def simulate_batch(self, seeds: np.ndarray) -> np.ndarray:
+    def simulate_batch(self, rows: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        """Every row is the same model: the outcomes depend on the seeds alone."""
         draws = stream_uint64(np.asarray(seeds, dtype=np.uint64), np.uint64(self._SALT))
         if self.p == 1.0:  # exact; its threshold 2**64 does not fit a uint64
             return np.ones(draws.shape)
@@ -213,7 +273,7 @@ def coverage_experiment(
     """Measure how often the +/-kappa interval captures a known mean.
 
     Runs ``repetitions`` independent estimates of a Bernoulli model with
-    the given mean and reports the fraction whose interval contains it,
+    the given mean, as the rows of one lockstep run, and reports the fraction whose interval contains it,
     against the threshold (1 - alpha) minus three-sigma binomial slack,
     with the mean and largest run count of an estimate and their cap.
     """
@@ -221,15 +281,11 @@ def coverage_experiment(
         raise ValueError("repetitions must be a positive integer")
     if not 0.0 <= true_mean <= 1.0:
         raise ValueError("true_mean must lie in [0, 1]")
-    model = BernoulliModel(true_mean)
+    seeds = [mix64(base_seed, rep) for rep in range(repetitions)]
+    estimates = _estimate_rows(BernoulliModel(true_mean), config, seeds, lambda row: f"repetition {row}")
     target = config.kappa_scale * true_mean
-    hits = 0
-    samples = []
-    for rep in range(repetitions):
-        est = estimate(model, config, mix64(base_seed, rep))
-        samples.append(est.samples_used)
-        if abs(est.mean - target) <= est.kappa:
-            hits += 1
+    hits = sum(1 for est in estimates if abs(est.mean - target) <= est.kappa)
+    samples = [est.samples_used for est in estimates]
     coverage = hits / repetitions
     nominal = 1.0 - config.alpha
     slack = 3.0 * math.sqrt(nominal * config.alpha / repetitions)

@@ -1,12 +1,12 @@
 """Network simulator: enumeration, link model, oracle consistency, environment."""
 
 import math
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from adaptlab import engine, netsim
+from adaptlab import netsim
 from adaptlab.engine import AdaptationEngine, EngineConfig
 from adaptlab.netsim import (
     MAX_MOTE_PACKETS,
@@ -27,10 +27,14 @@ from adaptlab.netsim import (
     true_expected_loss,
 )
 from adaptlab.seeds import derive_seeds, stream_uint64
-from adaptlab.smc import SmcConfig
 
 DESK = desk_topology()
 FULL = full_topology()
+
+
+def simulate(view, option_id, seeds):
+    """Outcomes of one option over a 1-D array of seeds."""
+    return NetworkModel(view, [option_id]).simulate_batch(np.array([0]), np.asarray(seeds)[None, :])[0]
 
 
 def one_hop_topology(rate=1):
@@ -99,9 +103,9 @@ class TestEnumeration:
     def test_rejects_out_of_range_id(self):
         view = NetworkView(DESK, initial_environment(DESK))
         with pytest.raises(ValueError):
-            NetworkModel(view, 256)
+            NetworkModel(view, [0, 256])
         with pytest.raises(ValueError):
-            NetworkModel(view, -1)
+            NetworkModel(view, [-1])
 
     def test_split_fractions_span_unit_interval(self):
         env = initial_environment(DESK)
@@ -244,33 +248,37 @@ class TestSimulation:
     def test_forced_delivery_extremes(self):
         env = initial_environment(DESK)
         seeds = derive_seeds(5, 20)
-        assert np.all(NetworkModel(NetworkView(DESK, env, delivery_override=1.0), 37).simulate_batch(seeds) == 0.0)
-        assert np.all(NetworkModel(NetworkView(DESK, env, delivery_override=0.0), 37).simulate_batch(seeds) == 1.0)
+        assert np.all(simulate(NetworkView(DESK, env, delivery_override=1.0), 37, seeds) == 0.0)
+        assert np.all(simulate(NetworkView(DESK, env, delivery_override=0.0), 37, seeds) == 1.0)
 
     def test_outcomes_are_packet_fractions(self):
         """Every outcome is lost/generated for an integer count of lost packets."""
         env = initial_environment(DESK)
-        model = NetworkModel(NetworkView(DESK, env), 201)
         generated = sum(max(0, round(m.rate * env.load[m.mote_id - 1])) for m in DESK.motes)
-        outcomes = model.simulate_batch(derive_seeds(3, 2000))
+        outcomes = simulate(NetworkView(DESK, env), 201, derive_seeds(3, 2000))
         lost = outcomes * generated
         assert np.all((0.0 <= outcomes) & (outcomes <= 1.0))
         np.testing.assert_allclose(lost, np.round(lost), atol=1e-9)
 
     def test_scalar_equals_batch(self):
-        """A batch equals the same seeds run as batches of one."""
-        env = initial_environment(DESK)
-        model = NetworkModel(NetworkView(DESK, env), 90)
-        seeds = derive_seeds(17, 50)
-        batch = model.simulate_batch(seeds)
-        scalar = np.concatenate([model.simulate_batch(seeds[i:i + 1]) for i in range(len(seeds))])
-        assert np.array_equal(batch, scalar)
+        """A batch over many options and seeds equals the same (option, seed)
+        pairs run as batches of one, from a model of that option alone."""
+        view = NetworkView(DESK, initial_environment(DESK))
+        ids = [90, 3, 201, 90, 255, 64]
+        model = NetworkModel(view, ids)
+        rows = np.array([4, 0, 2, 5])
+        seeds = np.stack([derive_seeds(17 + int(row), 50) for row in rows])
+        batch = model.simulate_batch(rows, seeds)
+        for i, row in enumerate(rows):
+            alone = NetworkModel(view, [ids[row]])
+            scalar = [alone.simulate_batch(np.array([0]), seeds[i:i + 1, j:j + 1])[0, 0] for j in range(50)]
+            assert batch[i].tolist() == scalar, ids[row]
 
     def test_deterministic_per_seed(self):
         env = initial_environment(DESK)
         seeds = np.array([42], dtype=np.uint64)
-        first = NetworkModel(NetworkView(DESK, env), 123).simulate_batch(seeds)
-        assert np.array_equal(first, NetworkModel(NetworkView(DESK, env), 123).simulate_batch(seeds))
+        first = simulate(NetworkView(DESK, env), 123, seeds)
+        assert np.array_equal(first, simulate(NetworkView(DESK, env), 123, seeds))
 
     def test_monte_carlo_matches_oracle(self):
         rng = np.random.default_rng(59)
@@ -280,8 +288,7 @@ class TestSimulation:
             env = environment_step(env, walk, 7000 + step)
         view = NetworkView(DESK, env)
         for oid in rng.integers(0, 256, size=3):
-            model = NetworkModel(view, int(oid))
-            mc = 100.0 * float(model.simulate_batch(derive_seeds(int(oid), 50_000)).mean())
+            mc = 100.0 * float(simulate(view, int(oid), derive_seeds(int(oid), 50_000)).mean())
             truth = true_expected_loss(view)[oid]
             assert abs(mc - truth) < 0.4  # ~5 sigma at this sample size
 
@@ -290,8 +297,8 @@ class TestSimulation:
         topo = one_hop_topology(rate=n)
         env = initial_environment(topo)
         for q in (0.3, 0.85):
-            model = NetworkModel(NetworkView(topo, env, delivery_override=q), 0)
-            lost = np.rint(model.simulate_batch(derive_seeds(11, runs)) * n).astype(np.int64)
+            lost = np.rint(simulate(NetworkView(topo, env, delivery_override=q), 0, derive_seeds(11, runs)) * n)
+            lost = lost.astype(np.int64)
             assert_binomial_histogram(lost, n, 1.0 - q)
 
     def test_two_hops_compose_to_binomial_of_q_squared(self):
@@ -305,8 +312,8 @@ class TestSimulation:
             ),
         )
         env = initial_environment(topo)
-        model = NetworkModel(NetworkView(topo, env, delivery_override=q), 0)
-        delivered = n - np.rint(model.simulate_batch(derive_seeds(12, runs)) * n).astype(np.int64)
+        outcomes = simulate(NetworkView(topo, env, delivery_override=q), 0, derive_seeds(12, runs))
+        delivered = n - np.rint(outcomes * n).astype(np.int64)
         assert_binomial_histogram(delivered, n, q * q)
 
     def test_one_draw_per_mote_and_run(self, monkeypatch):
@@ -319,44 +326,47 @@ class TestSimulation:
 
         monkeypatch.setattr(netsim, "stream_uint64", counting)
         env = initial_environment(DESK)
-        model = NetworkModel(NetworkView(DESK, env), 201)
-        model.simulate_batch(derive_seeds(4, 1000))
-        assert drawn == [1000 * DESK.mote_count]
+        model = NetworkModel(NetworkView(DESK, env), [201, 7, 64])
+        model.simulate_batch(np.array([0, 2]), np.stack([derive_seeds(4, 1000), derive_seeds(5, 1000)]))
+        assert sum(drawn) == 2 * 1000 * DESK.mote_count
 
     def test_rejects_counts_the_table_key_cannot_hold(self):
         topo = one_hop_topology(rate=MAX_MOTE_PACKETS + 1)
         with pytest.raises(ValueError, match="packets"):
-            NetworkModel(NetworkView(topo, initial_environment(topo)), 0)
+            NetworkModel(NetworkView(topo, initial_environment(topo)), [0])
         topo = one_hop_topology(rate=MAX_MOTE_PACKETS)
-        model = NetworkModel(NetworkView(topo, initial_environment(topo), delivery_override=0.0), 0)
-        assert np.all(model.simulate_batch(derive_seeds(6, 20)) == 1.0)
+        assert np.all(simulate(NetworkView(topo, initial_environment(topo), delivery_override=0.0), 0, derive_seeds(6, 20)) == 1.0)
         with pytest.raises(ValueError, match="probability"):
-            NetworkModel(NetworkView(topo, initial_environment(topo), delivery_override=1.5), 0)
+            NetworkView(topo, initial_environment(topo), delivery_override=1.5)
 
     def test_zero_traffic_runs_return_zero(self):
         topo = one_hop_topology(rate=1)
         env = Environment(interference=(2.0,), load=(0.01,))
-        model = NetworkModel(NetworkView(topo, env), 0)
-        assert np.array_equal(model.simulate_batch(derive_seeds(0, 10)), np.zeros(10))
+        assert np.array_equal(simulate(NetworkView(topo, env), 0, derive_seeds(0, 10)), np.zeros(10))
 
 
 class TestNetworkView:
     def test_models_of_one_view_share_tables(self):
         # Options 0 and 1 differ only in mote 1's power: mote 6, first in the
-        # plan, holds the same packets over the same link in both.
+        # plan, holds the same packets over the same link in both, so one
+        # group serves both; mote 1, last, has one group per q.
         view = NetworkView(DESK, initial_environment(DESK))
-        low, high = NetworkModel(view, 0), NetworkModel(view, 1)
-        assert low._plan[0][0] == high._plan[0][0] == 6
-        assert low._plan[0][3] is high._plan[0][3]
-        assert low._plan[-1][3] is not high._plan[-1][3]  # mote 1's q differs
-        other = NetworkModel(NetworkView(DESK, initial_environment(DESK)), 0)
-        assert np.array_equal(other._plan[0][3].keys, low._plan[0][3].keys)
-        assert other._plan[0][3] is not low._plan[0][3]
+        model = NetworkModel(view, [0, 1])
+        mote, _, group, groups = model._plan[0]
+        assert mote == 6 and group.tolist() == [0, 0] and len(groups) == 1
+        mote, _, group, groups = model._plan[-1]
+        assert mote == 1 and group.tolist() == [0, 1]
+        assert groups[0][2] is not groups[1][2]  # mote 1's q differs
+        assert NetworkModel(view, [1])._plan[0][3][0][2] is model._plan[0][3][0][2]
+        other = NetworkModel(NetworkView(DESK, initial_environment(DESK)), [0])
+        assert np.array_equal(other._plan[0][3][0][2].keys, model._plan[0][3][0][2].keys)
+        assert other._plan[0][3][0][2] is not model._plan[0][3][0][2]
 
     def test_shared_tables_simulate_like_per_model_tables(self):
-        # Every desk option from one view, whose tables grow as models ask
-        # for more rows, against a view that builds a fresh table of exactly
-        # the rows each mote needs, as each model once did.
+        # Every desk option in one model of one view, whose tables grow to the
+        # most packets any option's mote can hold, against one model per
+        # option from a view that builds a fresh table of exactly the rows
+        # each mote needs, as each model once did.
         env = initial_environment(DESK)
         for step in range(5):
             env = environment_step(env, EnvironmentWalk(), 9100 + step)
@@ -368,10 +378,11 @@ class TestNetworkView:
             return table
 
         fresh.binomial_table = exact_table
-        seeds = derive_seeds(31, 400)
-        for oid in range(DESK.option_count):
-            expected = NetworkModel(fresh, oid).simulate_batch(seeds)
-            assert np.array_equal(NetworkModel(shared, oid).simulate_batch(seeds), expected), oid
+        ids = np.arange(DESK.option_count)
+        seeds = np.stack([derive_seeds(31, 400)] * DESK.option_count)
+        together = NetworkModel(shared, ids).simulate_batch(ids, seeds)
+        for oid in ids.tolist():
+            assert np.array_equal(together[oid], simulate(fresh, oid, seeds[0])), oid
 
     def test_extended_table_equals_one_built_at_once(self):
         for q in (0.0, 0.37, 0.995, 1.0):
@@ -392,27 +403,24 @@ class TestNetworkView:
 
         monkeypatch.setattr(netsim, "BinomialTable", CountingTable)
         view = NetworkView(DESK, initial_environment(DESK))
-        for oid in range(DESK.option_count):
-            NetworkModel(view, oid)
+        NetworkModel(view, range(DESK.option_count))
         distinct = {q for _, links in view.choices for _, qs in links for q in qs}
         assert sorted(built) == sorted(distinct)
 
-    def test_warmup_cycle_holds_one_model_at_a_time(self, monkeypatch):
-        live = []
-        peak = 0
-
-        def counting(*args):
-            nonlocal peak
-            model = NetworkModel(*args)
-            live.append(weakref.ref(model))
-            peak = max(peak, sum(ref() is not None for ref in live))
-            return model
-
-        monkeypatch.setattr(engine, "NetworkModel", counting)
-        config = EngineConfig(warmup_cycles=1, total_cycles=1, smc=SmcConfig(epsilon=0.2))
-        AdaptationEngine(DESK, config, base_seed=3).run_cycle()
-        assert len(live) == DESK.option_count
-        assert peak == 1
+    def test_warmup_cycle_peak_allocation_is_bounded(self):
+        # One model serves the whole warm-up cycle, and the verifier bounds
+        # the runs it simulates at once (smc.RUN_BUDGET): the 256 desk
+        # options at epsilon 0.01 peak near 1.6 MB, where verifying them all
+        # in one lockstep group would allocate about 45 MB.
+        engine = AdaptationEngine(DESK, EngineConfig(warmup_cycles=1, total_cycles=1), base_seed=3)
+        tracemalloc.start()
+        try:
+            record = engine.run_cycle()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert record.reduced_size == DESK.option_count
+        assert peak < 4_000_000
 
 
 class TestPinnedOutputs:
@@ -445,7 +453,7 @@ class TestPinnedOutputs:
     def test_simulated_lost_packets(self):
         seeds = derive_seeds(2024, 8)
         for oid, (lost, _) in self.EXPECTED.items():
-            outcomes = NetworkModel(NetworkView(DESK, self.ENV), oid).simulate_batch(seeds)
+            outcomes = simulate(NetworkView(DESK, self.ENV), oid, seeds)
             assert outcomes.tolist() == [k / self.GENERATED for k in lost], oid
 
     def test_oracle_values(self):

@@ -98,7 +98,7 @@ class TestBernoulli:
     def test_threshold_monotone(self):
         # The hit count grows with p, from no hits at p 0 to every run at p 1.
         seeds = derive_seeds(7, 5000)
-        counts = [BernoulliModel(p).simulate_batch(seeds).sum() for p in (0.0, 0.1, 0.25, 0.5, 0.9, 1.0)]
+        counts = [BernoulliModel(p).simulate_batch([0], seeds[None, :]).sum() for p in (0.0, 0.1, 0.25, 0.5, 0.9, 1.0)]
         assert counts == sorted(counts)
         assert counts[0] == 0
         assert counts[-1] == 5000
@@ -106,6 +106,6 @@ class TestBernoulli:
     def test_same_draws_nested_probabilities(self):
         # A run that hits at p hits at every larger p on the same seed.
         seeds = derive_seeds(9, 10_000)
-        ladder = [BernoulliModel(p).simulate_batch(seeds) for p in (0.0, 0.1, 0.3, 0.6, 0.9, 1.0)]
+        ladder = [BernoulliModel(p).simulate_batch([0], seeds[None, :]) for p in (0.0, 0.1, 0.3, 0.6, 0.9, 1.0)]
         for low, high in zip(ladder, ladder[1:]):
             assert not ((low == 1.0) & (high == 0.0)).any()

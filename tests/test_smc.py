@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from adaptlab import smc
+from adaptlab.netsim import EnvironmentWalk, NetworkModel, NetworkView, desk_topology, environment_step, initial_environment
 from adaptlab.seeds import derive_seeds, mix64
 from adaptlab.smc import (
     BernoulliModel,
@@ -24,8 +26,8 @@ class ConstantModel:
     def __init__(self, value: float):
         self.value = value
 
-    def simulate_batch(self, seeds: np.ndarray) -> np.ndarray:
-        return np.full(len(seeds), self.value)
+    def simulate_batch(self, rows: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(seeds), self.value)
 
 
 class OneSeedAtATimeBernoulli:
@@ -34,8 +36,29 @@ class OneSeedAtATimeBernoulli:
     def __init__(self, p: float):
         self._inner = BernoulliModel(p)
 
-    def simulate_batch(self, seeds: np.ndarray) -> np.ndarray:
-        return np.concatenate([self._inner.simulate_batch(seeds[i:i + 1]) for i in range(len(seeds))])
+    def simulate_batch(self, rows: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        return np.array([
+            [self._inner.simulate_batch(rows[i:i + 1], seeds[i:i + 1, j:j + 1])[0, 0] for j in range(seeds.shape[1])]
+            for i in range(len(rows))
+        ])
+
+
+def simulate(model, seeds):
+    """Outcomes of the model's row 0 over a 1-D array of seeds."""
+    return model.simulate_batch(np.array([0]), np.asarray(seeds)[None, :])[0]
+
+
+class RowMeansModel:
+    """Row r is a Bernoulli model of mean means[r]."""
+
+    def __init__(self, means):
+        self.means = list(means)
+
+    def reordered(self, order):
+        return RowMeansModel([self.means[i] for i in order])
+
+    def simulate_batch(self, rows: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        return np.array([simulate(BernoulliModel(self.means[r]), s) for r, s in zip(rows, seeds)]).reshape(seeds.shape)
 
 
 def reference_estimate(model, config, base_seed):
@@ -49,7 +72,7 @@ def reference_estimate(model, config, base_seed):
     n = min(cap, math.ceil(1.5 * math.log(4 / config.alpha) / math.log1p(eps / 2)))
     target = math.log(2 / level)
     while True:
-        xs = model.simulate_batch(derive_seeds(base_seed, n)).tolist()
+        xs = simulate(model, derive_seeds(base_seed, n)).tolist()
         center = math.fsum(xs) / n
         if n == cap:
             return center, n
@@ -73,8 +96,8 @@ def reference_estimate(model, config, base_seed):
 class TestBernoulliModel:
     def test_endpoints_exact(self):
         seeds = derive_seeds(5, 1000)
-        np.testing.assert_array_equal(BernoulliModel(0.0).simulate_batch(seeds), np.zeros(1000))
-        np.testing.assert_array_equal(BernoulliModel(1.0).simulate_batch(seeds), np.ones(1000))
+        np.testing.assert_array_equal(simulate(BernoulliModel(0.0), seeds), np.zeros(1000))
+        np.testing.assert_array_equal(simulate(BernoulliModel(1.0), seeds), np.ones(1000))
         for p in (-0.1, 1.1, float("nan")):
             with pytest.raises(ValueError):
                 BernoulliModel(p)
@@ -82,7 +105,7 @@ class TestBernoulliModel:
     def test_empirical_rate_close(self):
         seeds = derive_seeds(123, 200_000)
         for p in (0.05, 0.5, 0.87):
-            assert abs(BernoulliModel(p).simulate_batch(seeds).mean() - p) < 0.005
+            assert abs(simulate(BernoulliModel(p), seeds).mean() - p) < 0.005
 
 
 class TestRequiredSamples:
@@ -193,20 +216,84 @@ class TestSequentialStopping:
 class TestVerifyOptions:
     def test_empty_and_singleton(self):
         config = SmcConfig(epsilon=0.1, alpha=0.1)
-        assert verify_options([], config, 0) == []
-        [(oid, est)] = verify_options([(4, BernoulliModel(0.2))], config, 12)
+        assert verify_options(BernoulliModel(0.2), [], config, 0) == []
+        [(oid, est)] = verify_options(BernoulliModel(0.2), [4], config, 12)
         assert oid == 4
         assert est == estimate(BernoulliModel(0.2), config, mix64(12, 4))
 
     def test_order_independent(self):
         config = SmcConfig(epsilon=0.1, alpha=0.1)
-        options = [(i, BernoulliModel(0.1 + 0.05 * i)) for i in range(16)]
+        model = RowMeansModel([0.1 + 0.05 * i for i in range(16)])
+        ids = list(range(16))
         rng = np.random.default_rng(2)
-        shuffled = list(options)
+        shuffled = list(ids)
         rng.shuffle(shuffled)
-        by_id_sorted = dict(verify_options(options, config, 77))
-        by_id_shuffled = dict(verify_options(shuffled, config, 77))
+        by_id_sorted = dict(verify_options(model, ids, config, 77))
+        by_id_shuffled = dict(verify_options(model.reordered(shuffled), shuffled, config, 77))
         assert by_id_sorted == by_id_shuffled
+
+    def test_rows_match_one_estimate_each(self):
+        # Rows of very different variance stop at different checks of one
+        # lockstep group; each matches the estimate of its row alone.
+        config = SmcConfig(epsilon=0.02, alpha=0.1)
+        means = [0.0, 0.5, 0.02, 0.3, 0.1, 1.0, 0.03]
+        model = RowMeansModel(means)
+        verified = verify_options(model, range(len(means)), config, 5)
+        assert [oid for oid, _ in verified] == list(range(len(means)))
+        for oid, est in verified:
+            assert est == estimate(BernoulliModel(means[oid]), config, mix64(5, oid)), oid
+        assert len({est.samples_used for _, est in verified}) >= 3
+
+    def test_outcome_outside_unit_interval_names_option_and_run(self):
+        config = SmcConfig(epsilon=0.1, alpha=0.1)
+        bad_seed = int(derive_seeds(mix64(8, 42), 4)[3])
+
+        class OneBadRun:
+            def simulate_batch(self, rows, seeds):
+                return np.where(seeds == np.uint64(bad_seed), 1.5, 0.25)
+
+        with pytest.raises(ValueError, match=r"run 3 of option 42 produced outcome 1\.5 outside"):
+            verify_options(OneBadRun(), [7, 42, 9], config, 8)
+
+
+class TestLockstep:
+    """verify_options on one model of every desk option at a walked
+    environment, against the plain per-option loop of the stopping rule."""
+
+    DESK = desk_topology()
+
+    @classmethod
+    def view(cls):
+        env = initial_environment(cls.DESK)
+        for step in range(4):
+            env = environment_step(env, EnvironmentWalk(), 5300 + step)
+        return NetworkView(cls.DESK, env)
+
+    def verify(self, ids, epsilon):
+        return verify_options(NetworkModel(self.view(), ids), ids, SmcConfig(epsilon=epsilon, alpha=0.1), 61)
+
+    @pytest.mark.parametrize("epsilon", [0.05, 0.01])
+    def test_every_desk_option_matches_the_per_option_reference(self, epsilon):
+        view, config = self.view(), SmcConfig(epsilon=epsilon, alpha=0.1)
+        ids = list(range(self.DESK.option_count))
+        verified = self.verify(ids, epsilon)
+        assert [oid for oid, _ in verified] == ids
+        for oid, est in verified:
+            center, runs = reference_estimate(NetworkModel(view, [oid]), config, mix64(61, oid))
+            assert (est.mean, est.samples_used) == (100.0 * center, runs), oid
+        if epsilon == 0.01:  # some options take a second check
+            assert len({est.samples_used for _, est in verified}) > 1
+
+    def test_run_budget_and_order_do_not_move_estimates(self, monkeypatch):
+        ids = list(range(self.DESK.option_count))
+        expected = self.verify(ids, 0.05)
+        assert self.verify(ids[::-1], 0.05) == expected[::-1]
+        for budget in (1, 10**9):
+            monkeypatch.setattr(smc, "RUN_BUDGET", budget)
+            assert self.verify(ids, 0.05) == expected, budget
+
+    def test_no_candidates(self):
+        assert self.verify([], 0.05) == []
 
 
 class TestConfig:
