@@ -43,6 +43,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -196,7 +199,7 @@ def prob_any_feasible_retained(survival_prob: float, n_feasible: int) -> float:
     return -math.expm1(n_feasible * math.log1p(-survival_prob))
 
 
-def count_feasible(predictions, best_prediction: float, radius: float) -> int:
+def count_feasible(predictions: Sequence[float] | np.ndarray, best_prediction: float, radius: float) -> int:
     """Number of predictions within ``radius`` above ``best_prediction``.
 
     Stands in for the unknowable count of truly feasible options: true
@@ -206,15 +209,10 @@ def count_feasible(predictions, best_prediction: float, radius: float) -> int:
     """
     if radius < 0.0:
         raise ValueError("radius must be nonnegative")
-    count = 0
-    total = 0
-    for p in predictions:
-        total += 1
-        if p - best_prediction <= radius:
-            count += 1
-    if total == 0:
+    gaps = np.asarray(predictions, dtype=np.float64) - best_prediction
+    if gaps.size == 0:
         raise ValueError("predictions must be nonempty")
-    return count
+    return int(np.count_nonzero(gaps <= radius))
 
 
 def decision_error_bound(

@@ -107,7 +107,7 @@ class CycleRecord:
     bound_holds: bool | None
 
 
-def cutoff(predictions: Sequence[float]) -> float:
+def cutoff(predictions: Sequence[float] | np.ndarray) -> float:
     """Reduction threshold: min + (median - min)/4.
 
     The median of an even-length list is its lower-middle order statistic,
@@ -115,12 +115,12 @@ def cutoff(predictions: Sequence[float]) -> float:
     reproducible. The result is always >= the minimum prediction, so the
     best-predicted option always survives reduction.
     """
-    if len(predictions) == 0:
+    ordered = np.sort(np.asarray(predictions, dtype=np.float64))
+    if ordered.size == 0:
         raise ValueError("cutoff needs at least one prediction")
-    ordered = sorted(predictions)
     low = ordered[0]
-    median = ordered[(len(ordered) - 1) // 2]
-    return low + (median - low) / 4.0
+    median = ordered[(ordered.size - 1) // 2]
+    return float(low + (median - low) / 4.0)
 
 
 class AdaptationEngine:
@@ -168,7 +168,7 @@ class AdaptationEngine:
             assert self.model is not None
             predictions = predict_batch(self.model, design)
             best_prediction = float(predictions.min())
-            cut = cutoff(predictions.tolist())
+            cut = cutoff(predictions)
             # Python ints: mix64 seeds each option from its id
             candidate_ids = np.flatnonzero(predictions <= cut).tolist()
 
@@ -231,7 +231,7 @@ class AdaptationEngine:
             alpha=self.config.smc.alpha,
         )
         *_, risk_upper = expected_risk_terms(inputs, LOSS_DOMAIN)
-        n_feasible = count_feasible(predictions.tolist(), best_prediction, math.sqrt(risk_upper))
+        n_feasible = count_feasible(predictions, best_prediction, math.sqrt(risk_upper))
         return decision_error_bound(inputs, LOSS_DOMAIN, cut, best_prediction, n_feasible)
 
 

@@ -15,7 +15,9 @@ forwards over exactly one link. Bit i of an option id is the i-th of these
 choices, so option ids are stable and bijective.
 
 Both evaluations start from a ``NetworkView``, the network at one
-environment, built once per adaptation cycle:
+environment, built once per adaptation cycle. Its one decoder of option
+ids, ``slots``, gives each mote's link and power under every option as
+``2 * link + power``:
 
 - ``true_expected_loss``: exact expected packet-loss percentage of every
   option, by propagating expected traffic through the DAG (no sampling).
@@ -23,10 +25,11 @@ environment, built once per adaptation cycle:
 - ``NetworkModel``: a list of options, one stochastic period per (option,
   seed). A mote holding k packets delivers Binomial(k, q) of them over its
   link, drawn by inverse CDF from one uniform per (seed, mote), children
-  before parents. Each draw is addressed by (seed, mote id), so a batch of
-  runs over many options is bit-identical to the same runs executed one by
-  one (as batches of one) - which is what makes SMC estimates over this
-  model reproducible.
+  before parents, on inverse-CDF tables the model builds for all its slots
+  in one call (``binomial_keys``). Each draw is addressed by (seed, mote
+  id), so a batch of runs over many options is bit-identical to the same
+  runs executed one by one (as batches of one) - which is what makes SMC
+  estimates over this model reproducible.
 
 Packet counts per mote are ``round(rate * load)`` - deterministic given
 the environment - and each mote's route is fixed by the option, so the
@@ -119,6 +122,11 @@ class NetworkTopology:
         return 2 ** (self.mote_count + len(self.split_motes))
 
 
+# Every link's interference and every mote's load at cycle 0.
+INITIAL_INTERFERENCE = 2.0
+INITIAL_LOAD = 1.0
+
+
 @dataclass(frozen=True)
 class EnvironmentWalk:
     """Step sizes and clamps of the environment's random walk."""
@@ -140,6 +148,11 @@ class EnvironmentWalk:
             raise ValueError("walk interference_min exceeds interference_max")
         if self.load_min > self.load_max:
             raise ValueError("walk load_min exceeds load_max")
+        # the walk starts from the initial environment, so its range must hold it
+        if not self.interference_min <= INITIAL_INTERFERENCE <= self.interference_max:
+            raise ValueError(f"walk interference range must contain the initial {INITIAL_INTERFERENCE}")
+        if not self.load_min <= INITIAL_LOAD <= self.load_max:
+            raise ValueError(f"walk load range must contain the initial {INITIAL_LOAD}")
 
 
 @dataclass(frozen=True)
@@ -148,11 +161,6 @@ class Environment:
 
     interference: tuple[float, ...]
     load: tuple[float, ...]
-
-
-# Every link's interference and every mote's load at cycle 0.
-INITIAL_INTERFERENCE = 2.0
-INITIAL_LOAD = 1.0
 
 
 def initial_environment(topology: NetworkTopology) -> Environment:
@@ -193,9 +201,9 @@ def link_delivery_prob(base_snr: float, power_level: int, interference: float) -
 def features(topology: NetworkTopology, env: Environment) -> np.ndarray:
     """Feature matrix of the whole adaptation space, row i for option id i.
 
-    Row layout: bit i of the option id in column i, as in
-    ``NetworkView.route`` (power bit per mote, then split bit per two-parent
-    mote, ascending id), then interference per link (canonical link order)
+    Row layout: bit i of the option id in column i, as ``NetworkView.slots``
+    reads them (power bit per mote, then split bit per two-parent mote,
+    ascending id), then interference per link (canonical link order)
     and load per mote (ascending id).
     """
     ids = np.arange(topology.option_count)[:, None]
@@ -210,56 +218,43 @@ def feature_dim(topology: NetworkTopology) -> int:
 
 class NetworkView:
     """The network at one environment, computed once per cycle for every
-    option's oracle value and model: each mote's generated packets and the
-    delivery probability q of every (link, power) pair, or
-    ``delivery_override`` for all of them. There is one Binomial table per
-    q, built on first use, extended when a model needs more rows, and
-    shared by the view's models for as long as it lives.
+    option's oracle value and model: each mote's generated packets, the
+    parent of each of its links, and the delivery probability q of each of
+    its slots (see ``slots``), or ``delivery_override`` for all of them.
+    Nothing in a view changes after it is built.
     """
 
     def __init__(self, topology: NetworkTopology, env: Environment, delivery_override: float | None = None):
         if delivery_override is not None and not 0.0 <= delivery_override <= 1.0:
             raise ValueError(f"delivery probability {delivery_override} outside [0, 1]")
         self.topology = topology
-        self.option_count = topology.option_count
         # round() is banker's rounding; fine, it just needs to be deterministic.
         self.generated = [max(0, round(m.rate * env.load[m.mote_id - 1])) for m in topology.motes]
         interference = dict(zip(topology.link_order, env.interference))
 
-        def qs(mote: Mote, link: Link) -> tuple[float, float]:
+        def q(mote: Mote, link: Link, power: int) -> float:
             if delivery_override is not None:
-                return (delivery_override, delivery_override)
-            level = interference[mote.mote_id, link.parent]
-            return (link_delivery_prob(link.base_snr, 0, level), link_delivery_prob(link.base_snr, 1, level))
+                return delivery_override
+            return link_delivery_prob(link.base_snr, power, interference[mote.mote_id, link.parent])
 
-        # Per mote (ascending id): the id bit of its route choice (None with
-        # one link), and per link in declared order (parent, (q low, q high)).
-        split_bits = {mote_id: topology.mote_count + i for i, mote_id in enumerate(topology.split_motes)}
-        self.choices = [
-            (split_bits.get(mote.mote_id), [(link.parent, qs(mote, link)) for link in mote.links])
-            for mote in topology.motes
-        ]
-        self._tables: dict[float, BinomialTable] = {}
+        # Per mote (ascending id): the parent of each link in declared order
+        # and the q of each slot.
+        self.parents = [tuple(link.parent for link in m.links) for m in topology.motes]
+        self.qs = [tuple(q(m, link, power) for link in m.links for power in (0, 1)) for m in topology.motes]
 
-    def route(self, option_id: int) -> list[tuple[int, float]]:
-        """Per mote (ascending id), ``(parent, q)`` of the one link the option
-        routes its traffic over (split bit 1 picks the first-listed link, 0
-        the second), at the power its power bit sets (1 for high)."""
-        if not 0 <= option_id < self.option_count:
-            raise ValueError(f"option_id {option_id} outside [0, {self.option_count})")
-        route = []
-        for power_bit, (split_bit, links) in enumerate(self.choices):
-            parent, qs = links[0 if split_bit is None else 1 - ((option_id >> split_bit) & 1)]
-            route.append((parent, qs[(option_id >> power_bit) & 1]))
-        return route
-
-    def binomial_table(self, cap: int, q: float) -> "BinomialTable":
-        """The view's table for q, holding at least rows 0..cap."""
-        if q not in self._tables:
-            self._tables[q] = BinomialTable(q)
-        table = self._tables[q]
-        table.extend(cap)
-        return table
+    def slots(self, ids: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Row m - 1 holds mote m's slot ``2 * link + power`` under every
+        option id: the power its power bit sets (1 for high), and the link
+        (in declared order) the option routes all the mote's traffic over -
+        split bit 1 picks the first, 0 the second."""
+        topology = self.topology
+        ids = np.asarray(ids, dtype=np.intp)
+        if ids.size and not 0 <= ids.min() <= ids.max() < topology.option_count:
+            raise ValueError(f"option ids must lie in [0, {topology.option_count})")
+        bits = (ids >> np.arange(topology.mote_count + len(topology.split_motes))[:, None]) & 1
+        slots = bits[: topology.mote_count]
+        slots[[mote_id - 1 for mote_id in topology.split_motes]] += 2 - 2 * bits[topology.mote_count:]
+        return slots
 
 
 def true_expected_loss(view: NetworkView) -> np.ndarray:
@@ -267,20 +262,18 @@ def true_expected_loss(view: NetworkView) -> np.ndarray:
     option id i.
 
     Closed form: the probability a packet at mote i reaches the gateway is
-    reach(i) = q * reach(parent) over the link the option picks for i,
+    reach(i) = q * reach(parent) over the slot the option picks for i,
     evaluated in ascending mote order (parents first). Loss is
     100 * (1 - delivered/generated) over deterministic per-mote packet counts.
-    One array pass over the id bits does, for every option, the float
-    operations of ``route`` and this rule in the same order.
+    One array pass over ``view.slots`` does this for every option at once.
     """
     ids = np.arange(view.topology.option_count)
     total = sum(view.generated)
     if total == 0:
         return np.zeros(len(ids))
     reach = [np.ones(len(ids))]  # by node id; the gateway's is 1
-    for power_bit, (split_bit, links) in enumerate(view.choices):
-        hops = [np.array(qs)[(ids >> power_bit) & 1] * reach[parent] for parent, qs in links]
-        reach.append(hops[0] if split_bit is None else np.where((ids >> split_bit) & 1 == 1, *hops))
+    for slots, qs, parents in zip(view.slots(ids), view.qs, view.parents):
+        reach.append(np.array(qs)[slots] * np.where(slots >= 2, reach[parents[-1]], reach[parents[0]]))
     delivered = 0.0  # summed mote by mote in ascending id
     for g, r in zip(view.generated, reach[1:]):
         delivered = delivered + g * r
@@ -298,46 +291,38 @@ MAX_MOTE_PACKETS = (1 << (64 - _KEY_SHIFT)) - 2
 _ROW_STARTS = np.array([k * (k - 1) // 2 for k in range(MAX_MOTE_PACKETS + 1)], dtype=np.uint64)
 
 
-class BinomialTable:
-    """Inverse-CDF keys of Binomial(k, q) for every k in 0..cap, in
-    ``keys``; ``extend`` appends rows up to a larger cap.
+def binomial_keys(qs: Sequence[float], cap: int) -> np.ndarray:
+    """Inverse-CDF tables of Binomial(k, q) for every k in 0..cap, row i of
+    the result being the table for qs[i].
 
-    Row k holds, for j in 0..k-1, the key (k << 56) + floor(F_k(j) * 2^56),
-    where F_k(j) = P(Binomial(k, q) <= j); F_k(k) = 1 needs no key. For a
-    uniform u in [0, 2^56), the number of row-k keys at most (k << 56) + u is
-    #{j < k : F_k(j) * 2^56 <= u}, the inverse CDF at u. Every earlier row's
-    keys lie at or below k << 56 and every later row's above it, so
-    ``searchsorted(keys, (k << 56) + u, side="right") - _ROW_STARTS[k]``
-    counts exactly those, however many rows the table holds.
+    A table holds, for each k and j in 0..k-1, the key
+    (k << 56) + floor(F_k(j) * 2^56), where F_k(j) = P(Binomial(k, q) <= j),
+    ordered by k, then j; F_k(k) = 1 needs no key. For a uniform u in
+    [0, 2^56), the number of k keys at most (k << 56) + u is
+    #{j < k : F_k(j) * 2^56 <= u}, the inverse CDF at u. Every smaller k's
+    keys lie at or below k << 56 and every larger k's above it, so
+    ``searchsorted(table, (k << 56) + u, side="right") - _ROW_STARTS[k]``
+    counts exactly those. The keys of k up to c are the table's first
+    c (c + 1) / 2, whatever cap is, so a table may be cut there.
 
-    The rows come from Pascal's rule F_k(j) = q F_{k-1}(j-1) + (1-q) F_{k-1}(j),
-    with F_{k-1}(-1) = 0 and F_{k-1}(j) = 1 for j >= k-1: only + and x of
-    IEEE doubles, so the keys have the same bits on every platform and do
-    not depend on how the table was extended. q = 0 keeps every F at 1
-    (nothing delivered) and q = 1 every F below k at 0 (all delivered), both
-    exactly.
+    The keys come from Pascal's rule F_k(j) = q F_{k-1}(j-1) + (1-q) F_{k-1}(j),
+    with F_{k-1}(-1) = 0 and F_{k-1}(j) = 1 for j >= k-1, one step for every
+    q at once: only + and x of IEEE doubles, so the keys have the same bits
+    on every platform. q = 0 keeps every F at 1 (nothing delivered) and
+    q = 1 every F below k at 0 (all delivered), both exactly.
     """
-
-    def __init__(self, q: float):
-        self.q = q
-        self.cap = 0
-        self.keys = np.empty(0, dtype=np.uint64)
-        self._cdf: list[float] = []  # F_cap(j) for j in 0..cap-1
-
-    def extend(self, cap: int) -> None:
-        if cap <= self.cap:
-            return
-        q, r = self.q, 1.0 - self.q
-        cdf = self._cdf
-        fractions = []  # F_k(j) for the new k, j in 0..k-1, row by row
-        for _ in range(self.cap, cap):
-            cdf = [r * a + q * b for a, b in zip(cdf + [1.0], [0.0] + cdf)]
-            fractions += cdf
-        counts = np.arange(self.cap + 1, cap + 1)
-        rows = np.repeat(counts.astype(np.uint64), counts)
-        new = (rows << np.uint64(_KEY_SHIFT)) + np.floor(np.array(fractions) * 2.0**_KEY_SHIFT).astype(np.uint64)
-        self.keys = np.concatenate([self.keys, new])
-        self.cap, self._cdf = cap, cdf
+    q = np.asarray(qs, dtype=np.float64)[:, None]
+    r = 1.0 - q
+    # Before step k, column j + 1 holds F_{k-1}(j) for j in -1..cap-1: 0 at
+    # j = -1 and 1 from j = k-1 on, which step k has not written yet.
+    cdf = np.ones((len(q), cap + 1))
+    cdf[:, 0] = 0.0
+    fractions = [cdf[:, :0]]  # k = 0 has no keys
+    for k in range(1, cap + 1):
+        cdf[:, 1 : k + 1] = r * cdf[:, 1 : k + 1] + q * cdf[:, :k]
+        fractions.append(cdf[:, 1 : k + 1].copy())
+    rows = np.repeat(np.arange(cap + 1, dtype=np.uint64), np.arange(cap + 1))
+    return (rows << np.uint64(_KEY_SHIFT)) + np.floor(np.hstack(fractions) * 2.0**_KEY_SHIFT).astype(np.uint64)
 
 
 class NetworkModel:
@@ -346,59 +331,51 @@ class NetworkModel:
 
     ``simulate_batch`` plays one network period per (row, seed) and returns
     each run's lost-packet fraction in [0, 1]. Each mote forwards all its
-    packets over the one link the row's option picks, so given the k packets
+    packets over the one slot the row's option picks, so given the k packets
     it holds in a run (its own plus those its children delivered), the count
     it delivers to its parent is Binomial(k, q). Run s draws that count by
     inverse CDF from one uniform per mote, ``stream_uint64(s, mote_id)``,
     processing children before parents. Per mote, the options are grouped by
-    the (parent, q) of their link, and each group's runs are looked up in
-    one ``searchsorted`` on the view's table for q. The tables cover every
-    reachable k from construction on, so an outcome depends only on its
-    option and seed: a batch over many rows and seeds is bit-identical to
-    batches of one row and one seed each.
+    slot, and each group's runs are looked up in one ``searchsorted`` on the
+    slot's ``binomial_keys``, which hold every k the mote can hold under any
+    of the group's options. So an outcome depends only on its option and
+    seed: a batch over many rows and seeds is bit-identical to batches of
+    one row and one seed each.
     """
 
-    def __init__(self, view: NetworkView, option_ids: Sequence[int]):
-        routes = [view.route(option_id) for option_id in option_ids]
+    def __init__(self, view: NetworkView, option_ids: Sequence[int] | np.ndarray):
+        slots = view.slots(option_ids)
         generated = view.generated
         self._total_generated = sum(generated)
         self._mote_count = len(generated)
 
         # Plan rows, children before parents (parent ids are smaller by
-        # construction): (mote_id, generated, group, groups), where group[i]
-        # is the index of option i's (parent, q) among the mote's links and
-        # groups lists (index, parent, table) of those that carry packets.
-        # inbound[m][i] is the most packets mote m's children can pass it in
-        # one run of option i, and caps[g] the most packets the mote holds in
-        # one run of any option of group g.
-        inbound = [[0] * len(routes) for _ in range(len(generated) + 1)]
-        self._plan = []
+        # construction): (mote_id, generated, slots, groups), where slots[i]
+        # is option i's slot at the mote and groups lists (slot, parent, keys)
+        # of the slots that carry packets, keys being the slot's table cut
+        # after k = caps[slot]. held[i] is the most packets the mote holds in
+        # one run of option i, inbound[m][i] the most its children pass mote
+        # m, and caps[s] the most it holds in slot s.
+        inbound = np.zeros((len(generated) + 1, slots.shape[1]), dtype=np.int64)
+        options = np.arange(slots.shape[1])
+        plan, qs, top = [], [], 0
         for mote_id in range(len(generated), 0, -1):
-            links: dict[tuple[int, float], int] = {}
-            group, caps = [], []
-            own, arriving = generated[mote_id - 1], inbound[mote_id]
-            for i, route in enumerate(routes):
-                link = route[mote_id - 1]
-                index = links.get(link)
-                if index is None:
-                    index = links[link] = len(caps)
-                    caps.append(0)
-                cap = own + arriving[i]
-                if cap > caps[index]:
-                    caps[index] = cap
-                inbound[link[0]][i] += cap
-                group.append(index)
-            if caps and max(caps) > MAX_MOTE_PACKETS:
-                raise ValueError(
-                    f"mote {mote_id} may hold {max(caps)} packets in one run, above {MAX_MOTE_PACKETS}"
-                )
-            groups = [
-                (index, parent, view.binomial_table(caps[index], q))
-                for (parent, q), index in links.items()
-                if caps[index] > 0
-            ]
+            own, row, parents = generated[mote_id - 1], slots[mote_id - 1], view.parents[mote_id - 1]
+            held = own + inbound[mote_id]
+            inbound[np.array(parents)[row >> 1], options] += held
+            caps = np.where(row == np.arange(2 * len(parents))[:, None], held, 0).max(axis=1, initial=0).tolist()
+            if max(caps) > MAX_MOTE_PACKETS:
+                raise ValueError(f"mote {mote_id} may hold {max(caps)} packets in one run, above {MAX_MOTE_PACKETS}")
+            groups = [(slot, parents[slot >> 1], cap) for slot, cap in enumerate(caps) if cap > 0]
+            qs += [view.qs[mote_id - 1][slot] for slot, _, _ in groups]
+            top = max([top] + caps)
             if groups:
-                self._plan.append((mote_id, generated[mote_id - 1], np.array(group, dtype=np.intp), groups))
+                plan.append((mote_id, own, row, groups))
+        keys = iter(binomial_keys(qs, top))
+        self._plan = [
+            (mote_id, own, row, [(slot, parent, next(keys)[: cap * (cap + 1) // 2]) for slot, parent, cap in groups])
+            for mote_id, own, row, groups in plan
+        ]
 
     def simulate_batch(self, rows: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.intp)
@@ -408,16 +385,16 @@ class NetworkModel:
             return np.zeros(seeds.shape, dtype=np.float64)
         arrivals = np.zeros((self._mote_count + 1,) + seeds.shape, dtype=np.uint64)
         shift = np.uint64(_KEY_SHIFT)
-        for mote_id, generated, group, groups in self._plan:
+        for mote_id, generated, slots, groups in self._plan:
             packets = arrivals[mote_id] + generated
             # the mote's 56-bit uniform in every (row, run)
             uniforms = stream_uint64(seeds, np.uint64(mote_id)) >> np.uint64(64 - _KEY_SHIFT)
             keys = (packets << shift) | uniforms
-            active = group[rows]
-            for index, parent, table in groups:
-                members = np.flatnonzero(active == index)
+            active = slots[rows]
+            for slot, parent, table in groups:
+                members = np.flatnonzero(active == slot)
                 if len(members):
-                    found = np.searchsorted(table.keys, keys[members], side="right")
+                    found = np.searchsorted(table, keys[members], side="right")
                     arrivals[parent, members] += found.astype(np.uint64) - _ROW_STARTS[packets[members]]
         lost = total - arrivals[0]
         return lost.astype(np.float64) / total

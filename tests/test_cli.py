@@ -242,7 +242,11 @@ class TestRunCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out.csv"]
 
     def test_rejects_invalid_walk(self, tmp_path, capsys):
-        for walk in ({"interference_min": 5.0, "interference_max": 1.0}, {"load_step": -0.1}):
+        for walk in (
+            {"interference_min": 5.0, "interference_max": 1.0},
+            {"load_step": -0.1},
+            {"load_min": 0.05, "load_max": 0.1},  # excludes the initial load 1.0
+        ):
             config_path, _ = write_config(tmp_path, walk=walk)
             assert main(["run", str(config_path)]) == 2
             assert "walk" in capsys.readouterr().err

@@ -12,7 +12,7 @@ from adaptlab.engine import (
     cutoff,
     run_experiment,
 )
-from adaptlab.netsim import EnvironmentWalk, Link, Mote, NetworkTopology, desk_topology, features
+from adaptlab.netsim import EnvironmentWalk, Link, Mote, NetworkTopology, desk_topology, features, full_topology
 from adaptlab.regression import predict_batch
 from adaptlab.smc import SmcConfig
 
@@ -143,6 +143,14 @@ class TestDeterminism:
         a = run_experiment(DESK, quick_config(), base_seed=77)
         b = run_experiment(DESK, quick_config(), base_seed=77)
         assert a == b
+
+    def test_full_replay_is_bit_identical(self):
+        full = full_topology()
+        config = EngineConfig(warmup_cycles=2, total_cycles=6, smc=SmcConfig(epsilon=0.05))
+        a = run_experiment(full, config, base_seed=77)
+        assert a == run_experiment(full, config, base_seed=77)
+        assert [r.reduced_size for r in a[:2]] == [full.option_count] * 2
+        assert all(r.reduced_size < full.option_count for r in a[2:])
 
     def test_seeds_change_trajectories(self):
         a = run_experiment(DESK, quick_config(), base_seed=77)

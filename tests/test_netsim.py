@@ -73,6 +73,16 @@ def reference_loss(topology, env, option_id, delivery_override=None):
     return 100.0 * (1.0 - delivered / total)
 
 
+def reference_keys(q, cap):
+    """One Binomial table as a plain loop: Pascal's rule on Python floats,
+    key (k << 56) + floor(F_k(j) * 2^56) for k in 1..cap and j in 0..k-1."""
+    keys, cdf = [], []
+    for k in range(1, cap + 1):
+        cdf = [(1.0 - q) * a + q * b for a, b in zip(cdf + [1.0], [0.0] + cdf)]
+        keys += [(k << 56) + math.floor(f * 2.0**56) for f in cdf]
+    return keys
+
+
 def assert_binomial_histogram(counts, n, p):
     """Each count in 0..n occurs within 5 sigma of its Binomial(n, p) share."""
     runs = len(counts)
@@ -125,7 +135,10 @@ class TestEnumeration:
                 (0, 1, 2, 4, 5, 7),
             )
         ]
-        assert NetworkView(DESK, env).route(0b10_000110) == expected
+        view = NetworkView(DESK, env)
+        slots = view.slots([0b10_000110])[:, 0]
+        assert slots.tolist() == [0, 1, 1, 2, 0, 0]
+        assert [(view.parents[m][s >> 1], float(view.qs[m][s])) for m, s in enumerate(slots)] == expected
 
 
 class TestTopologyValidation:
@@ -212,7 +225,7 @@ class TestAnalyticOracle:
         q21 = link_delivery_prob(topo.motes[1].links[1].base_snr, 0, 2.5)
         view = NetworkView(topo, env)
         direct, relayed = 0b1_01, 0b0_01
-        assert (view.route(direct)[1][0], view.route(relayed)[1][0]) == (0, 1)
+        assert [view.parents[1][s >> 1] for s in view.slots([direct, relayed])[1]] == [0, 1]
         losses = true_expected_loss(view)
         assert losses[direct] == pytest.approx(100.0 * (1.0 - (3 * q1 + 4 * q20) / 7), rel=1e-12)
         assert losses[relayed] == pytest.approx(100.0 * (1.0 - (3 * q1 + 4 * q21 * q1) / 7), rel=1e-12)
@@ -263,16 +276,16 @@ class TestSimulation:
     def test_scalar_equals_batch(self):
         """A batch over many options and seeds equals the same (option, seed)
         pairs run as batches of one, from a model of that option alone."""
-        view = NetworkView(DESK, initial_environment(DESK))
-        ids = [90, 3, 201, 90, 255, 64]
-        model = NetworkModel(view, ids)
-        rows = np.array([4, 0, 2, 5])
-        seeds = np.stack([derive_seeds(17 + int(row), 50) for row in rows])
-        batch = model.simulate_batch(rows, seeds)
-        for i, row in enumerate(rows):
-            alone = NetworkModel(view, [ids[row]])
-            scalar = [alone.simulate_batch(np.array([0]), seeds[i:i + 1, j:j + 1])[0, 0] for j in range(50)]
-            assert batch[i].tolist() == scalar, ids[row]
+        for topo, ids in ((DESK, [90, 3, 201, 90, 255, 64]), (FULL, [90, 3, 4001, 90, 4095, 2048])):
+            view = NetworkView(topo, initial_environment(topo))
+            model = NetworkModel(view, ids)
+            rows = np.array([4, 0, 2, 5])
+            seeds = np.stack([derive_seeds(17 + int(row), 50) for row in rows])
+            batch = model.simulate_batch(rows, seeds)
+            for i, row in enumerate(rows):
+                alone = NetworkModel(view, [ids[row]])
+                scalar = [alone.simulate_batch(np.array([0]), seeds[i:i + 1, j:j + 1])[0, 0] for j in range(50)]
+                assert batch[i].tolist() == scalar, (topo.option_count, ids[row])
 
     def test_deterministic_per_seed(self):
         env = initial_environment(DESK)
@@ -316,6 +329,22 @@ class TestSimulation:
         delivered = n - np.rint(outcomes * n).astype(np.int64)
         assert_binomial_histogram(delivered, n, q * q)
 
+    def test_relayed_packets_count_at_every_hop(self):
+        # Mote 3 relays through mote 2, which relays through mote 1: mote 1
+        # holds the packets of all three, so its table must reach k = 3.
+        topo = NetworkTopology(
+            motes=(
+                Mote(1, rate=1, links=(Link(0, 5.0),)),
+                Mote(2, rate=1, links=(Link(1, 5.0),)),
+                Mote(3, rate=1, links=(Link(2, 5.0),)),
+            ),
+        )
+        env = initial_environment(topo)
+        assert np.all(simulate(NetworkView(topo, env, delivery_override=1.0), 0, derive_seeds(8, 50)) == 0.0)
+        view = NetworkView(topo, env, delivery_override=0.8)
+        mc = 100.0 * float(simulate(view, 0, derive_seeds(9, 50_000)).mean())
+        assert abs(mc - true_expected_loss(view)[0]) < 0.6  # ~5 sigma at this sample size
+
     def test_one_draw_per_mote_and_run(self, monkeypatch):
         drawn = []
 
@@ -346,66 +375,37 @@ class TestSimulation:
 
 
 class TestNetworkView:
-    def test_models_of_one_view_share_tables(self):
-        # Options 0 and 1 differ only in mote 1's power: mote 6, first in the
-        # plan, holds the same packets over the same link in both, so one
-        # group serves both; mote 1, last, has one group per q.
-        view = NetworkView(DESK, initial_environment(DESK))
-        model = NetworkModel(view, [0, 1])
-        mote, _, group, groups = model._plan[0]
-        assert mote == 6 and group.tolist() == [0, 0] and len(groups) == 1
-        mote, _, group, groups = model._plan[-1]
-        assert mote == 1 and group.tolist() == [0, 1]
-        assert groups[0][2] is not groups[1][2]  # mote 1's q differs
-        assert NetworkModel(view, [1])._plan[0][3][0][2] is model._plan[0][3][0][2]
-        other = NetworkModel(NetworkView(DESK, initial_environment(DESK)), [0])
-        assert np.array_equal(other._plan[0][3][0][2].keys, model._plan[0][3][0][2].keys)
-        assert other._plan[0][3][0][2] is not model._plan[0][3][0][2]
+    def test_one_model_of_all_options_equals_one_model_per_option(self):
+        # The model of every option builds each slot's table up to the most
+        # packets any option's mote holds in it; a model of one option, only
+        # up to what that option's motes hold. Fewer runs on full keep the
+        # all-options batch small.
+        for topo, runs in ((DESK, 400), (FULL, 50)):
+            env = initial_environment(topo)
+            for step in range(5):
+                env = environment_step(env, EnvironmentWalk(), 9100 + step)
+            view = NetworkView(topo, env)
+            ids = np.arange(topo.option_count)
+            seeds = np.broadcast_to(derive_seeds(31, runs), (topo.option_count, runs))
+            together = NetworkModel(view, ids).simulate_batch(ids, seeds)
+            for oid in ids.tolist():
+                assert np.array_equal(together[oid], simulate(view, oid, seeds[0])), (topo.option_count, oid)
 
-    def test_shared_tables_simulate_like_per_model_tables(self):
-        # Every desk option in one model of one view, whose tables grow to the
-        # most packets any option's mote can hold, against one model per
-        # option from a view that builds a fresh table of exactly the rows
-        # each mote needs, as each model once did.
-        env = initial_environment(DESK)
-        for step in range(5):
-            env = environment_step(env, EnvironmentWalk(), 9100 + step)
-        shared, fresh = NetworkView(DESK, env), NetworkView(DESK, env)
+    def test_binomial_keys_match_the_scalar_rule(self):
+        qs = [0.0, 0.005, 0.37, 0.5, 0.8123, 0.995, 1.0]
+        keys = netsim.binomial_keys(qs, 30)
+        for q, table in zip(qs, keys):
+            assert table.tolist() == reference_keys(q, 30), q
+        assert netsim.binomial_keys(qs, 0).shape == (len(qs), 0)
 
-        def exact_table(cap, q):
-            table = netsim.BinomialTable(q)
-            table.extend(cap)
-            return table
-
-        fresh.binomial_table = exact_table
-        ids = np.arange(DESK.option_count)
-        seeds = np.stack([derive_seeds(31, 400)] * DESK.option_count)
-        together = NetworkModel(shared, ids).simulate_batch(ids, seeds)
-        for oid in ids.tolist():
-            assert np.array_equal(together[oid], simulate(fresh, oid, seeds[0])), oid
-
-    def test_extended_table_equals_one_built_at_once(self):
-        for q in (0.0, 0.37, 0.995, 1.0):
-            stepped, direct = netsim.BinomialTable(q), netsim.BinomialTable(q)
-            for cap in (1, 2, 2, 5, 9, 14):
-                stepped.extend(cap)
-            direct.extend(14)
-            assert stepped.cap == direct.cap == 14
-            assert np.array_equal(stepped.keys, direct.keys), q
-
-    def test_one_table_per_distinct_q(self, monkeypatch):
-        built = []
-
-        class CountingTable(netsim.BinomialTable):
-            def __init__(self, q):
-                super().__init__(q)
-                built.append(q)
-
-        monkeypatch.setattr(netsim, "BinomialTable", CountingTable)
-        view = NetworkView(DESK, initial_environment(DESK))
-        NetworkModel(view, range(DESK.option_count))
-        distinct = {q for _, links in view.choices for _, qs in links for q in qs}
-        assert sorted(built) == sorted(distinct)
+    def test_binomial_keys_of_a_smaller_cap_are_a_prefix(self):
+        qs = [0.0, 0.37, 0.995, 1.0]
+        small, large = netsim.binomial_keys(qs, 9), netsim.binomial_keys(qs, 14)
+        assert small.shape == (4, 9 * 10 // 2) and large.shape == (4, 14 * 15 // 2)
+        assert np.array_equal(small, large[:, : small.shape[1]])
+        rows = np.repeat(np.arange(15, dtype=np.uint64), np.arange(15)) << np.uint64(56)
+        assert np.array_equal(large[0], rows + (np.uint64(1) << np.uint64(56)))  # q = 0: F = 1
+        assert np.array_equal(large[3], rows)  # q = 1: F = 0 below k
 
     def test_warmup_cycle_peak_allocation_is_bounded(self):
         # One model serves the whole warm-up cycle, and the verifier bounds
@@ -482,6 +482,10 @@ class TestEnvironment:
             dict(interference_step=-1.0),
             dict(load_max=math.nan),
             dict(interference_max=math.inf),
+            dict(load_min=0.05, load_max=0.1),  # cycle 1 runs at INITIAL_LOAD 1.0
+            dict(load_min=1.5),
+            dict(interference_min=2.5),
+            dict(interference_max=1.0),
         ):
             with pytest.raises(ValueError):
                 EnvironmentWalk(**overrides)
