@@ -26,7 +26,7 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 
-from .bounds import DecisionErrorBound, QualityDomain, RiskBoundInputs, decision_error_bound
+from .bounds import QualityDomain, RiskBoundInputs, decision_error_bound
 from .engine import LOSS_DOMAIN, CycleRecord, EngineConfig, run_experiment
 from .netsim import TOPOLOGY_PRESETS, EnvironmentWalk
 from .smc import SmcConfig, coverage_experiment
@@ -53,10 +53,6 @@ def _cell(value: float | None) -> str:
 # -- bounds --------------------------------------------------------------
 
 
-def _bound_as_dict(bound: DecisionErrorBound) -> dict:
-    return _sig_floats(asdict(bound))
-
-
 def cmd_bounds(args: argparse.Namespace) -> int:
     if args.cutoff < args.b_hat_w:
         raise ValueError("--cutoff must not lie below --b-hat-w, the minimum prediction")
@@ -72,7 +68,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         alpha=args.alpha,
     )
     bound = decision_error_bound(inputs, domain, args.cutoff, args.b_hat_w, args.n)
-    print(json.dumps(_bound_as_dict(bound), indent=2))
+    print(json.dumps(_sig_floats(asdict(bound)), indent=2))
     return 0
 
 

@@ -12,12 +12,13 @@ An adaptation option makes one binary choice per mote - low or high
 transmission power - and one per mote with two parents - which of its two
 links carries all of its generated and relayed traffic. So every mote
 forwards over exactly one link. Bit i of an option id is the i-th of these
-choices, so option ids are stable and bijective.
+choices, so option ids are stable and bijective. ``option_bits`` is the one
+decoder of this layout; the regressor's ``features`` and the view's
+``slots`` are both built from it.
 
 Both evaluations start from a ``NetworkView``, the network at one
-environment, built once per adaptation cycle. Its one decoder of option
-ids, ``slots``, gives each mote's link and power under every option as
-``2 * link + power``:
+environment, built once per adaptation cycle. Its ``slots`` give each
+mote's link and power under every option as ``2 * link + power``:
 
 - ``true_expected_loss``: exact expected packet-loss percentage of every
   option, by propagating expected traffic through the DAG (no sampling).
@@ -198,18 +199,25 @@ def link_delivery_prob(base_snr: float, power_level: int, interference: float) -
     return min(Q_CEIL, max(Q_FLOOR, q))
 
 
+def option_bits(topology: NetworkTopology, ids: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Row i holds bit i of every option id: the power bit of mote i + 1
+    (1 for high) for i below the mote count, then the split bit of each
+    two-parent mote, ascending id (1 routes over its first link)."""
+    ids = np.asarray(ids, dtype=np.intp)
+    if ids.size and not 0 <= ids.min() <= ids.max() < topology.option_count:
+        raise ValueError(f"option ids must lie in [0, {topology.option_count})")
+    return (ids >> np.arange(topology.mote_count + len(topology.split_motes))[:, None]) & 1
+
+
 def features(topology: NetworkTopology, env: Environment) -> np.ndarray:
     """Feature matrix of the whole adaptation space, row i for option id i.
 
-    Row layout: bit i of the option id in column i, as ``NetworkView.slots``
-    reads them (power bit per mote, then split bit per two-parent mote,
-    ascending id), then interference per link (canonical link order)
-    and load per mote (ascending id).
+    Row layout: the ``option_bits`` of the id, then interference per link
+    (canonical link order) and load per mote (ascending id).
     """
-    ids = np.arange(topology.option_count)[:, None]
-    settings = (ids >> np.arange(topology.mote_count + len(topology.split_motes))) & 1
+    settings = option_bits(topology, np.arange(topology.option_count)).T
     readings = np.array(env.interference + env.load, dtype=np.float64)
-    return np.hstack([settings, np.tile(readings, (len(ids), 1))])  # float64, as readings are
+    return np.hstack([settings, np.tile(readings, (len(settings), 1))])  # float64, as readings are
 
 
 def feature_dim(topology: NetworkTopology) -> int:
@@ -244,14 +252,11 @@ class NetworkView:
 
     def slots(self, ids: Sequence[int] | np.ndarray) -> np.ndarray:
         """Row m - 1 holds mote m's slot ``2 * link + power`` under every
-        option id: the power its power bit sets (1 for high), and the link
-        (in declared order) the option routes all the mote's traffic over -
-        split bit 1 picks the first, 0 the second."""
+        option id: the power its power bit sets, and the link (in declared
+        order) the option routes all the mote's traffic over - split bit 1
+        picks the first, 0 the second (see ``option_bits``)."""
         topology = self.topology
-        ids = np.asarray(ids, dtype=np.intp)
-        if ids.size and not 0 <= ids.min() <= ids.max() < topology.option_count:
-            raise ValueError(f"option ids must lie in [0, {topology.option_count})")
-        bits = (ids >> np.arange(topology.mote_count + len(topology.split_motes))[:, None]) & 1
+        bits = option_bits(topology, ids)
         slots = bits[: topology.mote_count]
         slots[[mote_id - 1 for mote_id in topology.split_motes]] += 2 - 2 * bits[topology.mote_count:]
         return slots

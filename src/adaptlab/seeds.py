@@ -45,7 +45,8 @@ def mix64(*parts: int) -> int:
 
 
 def hash01(*parts: int) -> float:
-    """Uniform float in [0, 1) addressed by the given integers."""
+    """Uniform float in [0, 1] addressed by the given integers. The top is
+    reachable: a ``mix64`` value within 2**10 of 2**64 rounds to 1.0."""
     return mix64(*parts) / 2.0**64
 
 

@@ -25,37 +25,35 @@ variance outcomes stop after about a thousand runs at epsilon 0.01 where
 the fixed Hoeffding size at alpha is 14 979; outcomes of variance near 1/4
 run to the cap.
 
-Lockstep. Many estimates share that grid: ``verify_options`` gives each
-option a row of one model, and the rows of a group (at most ``RUN_BUDGET``
-runs at the first check) advance together, one ``simulate_batch`` call and
-one row-wise stopping check per check for every row still running.
-``estimate`` and ``coverage_experiment`` are the one-row and many-row cases
-of the same code.
+Lockstep. ``verify_options`` is the one estimator: it gives each option a
+row of one model, and the rows of a group (at most ``RUN_BUDGET`` runs at
+the first check) advance together, one ``simulate_batch`` call and one
+row-wise stopping check per check for every row still running. The
+engine's candidates and ``coverage_experiment``'s repetitions are its rows.
 
-Determinism contract: per-run seeds are derived from (base_seed,
-run_index) with :func:`adaptlab.seeds.mix64`, so each chunk continues the
-same seed stream and outcomes are collected in run-index order. The
-reported mean is an exactly rounded sum over all outcomes drawn. The stop
-decision uses float ``cumsum`` and ``log1p`` over the same outcomes, row by
-row, so it is deterministic on one machine and numpy build. An estimate is
-thus a pure function of (model row, config, base_seed): it does not depend
-on which rows share its group, and a model that simulates its runs one seed
-at a time gives the same estimate, run count included, as one that
-simulates them in a single batch.
+Determinism contract: option id's runs are seeded ``mix64(key, run_index)``
+with key ``mix64(base_seed, id)`` (:func:`adaptlab.seeds.mix64`), so each
+chunk continues the same seed stream and outcomes are collected in
+run-index order. The reported mean is an exactly rounded sum over all
+outcomes drawn. The stop decision uses float ``cumsum`` and ``log1p`` over
+the same outcomes, row by row, so it is deterministic on one machine and
+numpy build. An estimate is thus a pure function of (the option's outcomes,
+config, base_seed, id): it does not depend on which rows share its group,
+and a model that simulates its runs one seed at a time gives the same
+estimate, run count included, as one that simulates them in a single batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence
 
 import numpy as np
 
-from .seeds import MASK64, mix64, stream_uint64
+from .seeds import mix64, stream_uint64
 
 
-@runtime_checkable
 class StochasticModel(Protocol):
     """Simulatable systems, one per row. ``simulate_batch(rows, seeds)``
     returns, for seeds of shape (len(rows), n), the outcome in [0, 1] of row
@@ -89,11 +87,9 @@ class SmcConfig:
 
 @dataclass(frozen=True)
 class SmcEstimate:
-    """Estimated quality value with its half-width and confidence."""
+    """Estimated quality value (+/-kappa of its config) and its run count."""
 
     mean: float
-    kappa: float
-    alpha: float
     samples_used: int
 
 
@@ -161,28 +157,35 @@ def _intervals_fit(outcomes: np.ndarray, centers: np.ndarray, epsilon: float, le
 RUN_BUDGET = 8192
 
 
-def _estimate_rows(
+def verify_options(
     model: StochasticModel,
+    option_ids: Sequence[int],
     config: SmcConfig,
-    seeds: Sequence[int],
-    row_name: Callable[[int], str],
-) -> list[SmcEstimate]:
-    """Estimate row r of the model from the seed stream ``mix64(seeds[r], i)``,
-    for every r, in groups of rows that advance in lockstep.
+    base_seed: int,
+) -> list[tuple[int, SmcEstimate]]:
+    """Estimate every option's expected outcome in quality units, row i of
+    the model being option_ids[i], as (id, estimate) pairs in the order of
+    option_ids.
 
-    All rows of a group share the grid of checks: at each one, the rows still
-    running get their next runs from one ``simulate_batch`` call, and one
-    row-wise stopping check retires those whose interval fits, or all of them
-    at the cap. A row's runs, stop and mean are those it would have alone.
+    Option id runs with seeds ``mix64(mix64(base_seed, id), run_index)``
+    until the betting confidence sequence at alpha/2 fits within +/-epsilon
+    of its running mean, or up to ``required_samples(epsilon, alpha / 2)``
+    runs, and reports ``kappa_scale * sum(outcomes) / n`` with n as
+    ``samples_used``. Rows advance in lockstep groups: at each check, the
+    rows still running get their next runs from one ``simulate_batch`` call,
+    and one row-wise stopping check retires those whose interval fits, or
+    all of them at the cap. A run outcome outside [0, 1] is a model bug and
+    raises.
     """
+    ids = list(option_ids)
     epsilon, level = config.epsilon, config.alpha / 2.0
     cap = required_samples(epsilon, level)
     first = first_check(epsilon, config.alpha)
     group = max(1, RUN_BUDGET // first)
-    keys = np.array([seed & MASK64 for seed in seeds], dtype=np.uint64)
-    centers, used = [0.0] * len(keys), [0] * len(keys)
-    for start in range(0, len(keys), group):
-        running = np.arange(start, min(start + group, len(keys)))  # rows whose estimate has not stopped
+    keys = np.array([mix64(base_seed, oid) for oid in ids], dtype=np.uint64)
+    centers, used = [0.0] * len(ids), [0] * len(ids)
+    for start in range(0, len(ids), group):
+        running = np.arange(start, min(start + group, len(ids)))  # rows whose estimate has not stopped
         outcomes = np.empty((len(running), 0))
         done, n = 0, min(cap, first)
         while len(running):
@@ -194,7 +197,7 @@ def _estimate_rows(
             if bad.any():
                 r, j = np.unravel_index(np.argmax(bad), chunk.shape)
                 raise ValueError(
-                    f"run {done + j} of {row_name(int(running[r]))} produced outcome "
+                    f"run {done + j} of option {ids[running[r]]} produced outcome "
                     f"{float(chunk[r, j])!r} outside [0, 1]"
                 )
             outcomes = np.concatenate([outcomes, chunk], axis=1)
@@ -209,41 +212,9 @@ def _estimate_rows(
             running, outcomes = running[~stop], outcomes[~stop]
             done, n = n, min(cap, math.ceil(_GROWTH * n))
     return [
-        SmcEstimate(mean=config.kappa_scale * center, kappa=config.kappa, alpha=config.alpha, samples_used=runs)
-        for center, runs in zip(centers, used)
+        (oid, SmcEstimate(mean=config.kappa_scale * center, samples_used=runs))
+        for oid, center, runs in zip(ids, centers, used)
     ]
-
-
-def estimate(model: StochasticModel, config: SmcConfig, base_seed: int) -> SmcEstimate:
-    """Estimate the expected outcome of the model's row 0 in quality units.
-
-    Simulates runs with per-run seeds ``mix64(base_seed, run_index)``, one
-    ``simulate_batch`` call per check, until the betting confidence
-    sequence at alpha/2 fits within +/-epsilon of the running mean or the
-    run count reaches ``required_samples(epsilon, alpha / 2)``. Returns
-    ``kappa_scale * sum(outcomes) / n`` with half-width kappa and n as
-    ``samples_used``. A run outcome outside [0, 1] is a model bug and raises.
-    """
-    return _estimate_rows(model, config, [base_seed], lambda row: "the model")[0]
-
-
-def verify_options(
-    model: StochasticModel,
-    option_ids: Sequence[int],
-    config: SmcConfig,
-    base_seed: int,
-) -> list[tuple[int, SmcEstimate]]:
-    """Estimate every option, row i of the model being option_ids[i], as
-    (id, estimate) pairs in the order of option_ids.
-
-    Each option's estimate is that of :func:`estimate` at base seed
-    ``mix64(base_seed, id)``: it depends only on (base_seed, id) and the
-    option's outcomes, not on the order of the ids or on which options share
-    its lockstep group.
-    """
-    ids = list(option_ids)
-    seeds = [mix64(base_seed, oid) for oid in ids]
-    return list(zip(ids, _estimate_rows(model, config, seeds, lambda row: f"option {ids[row]}")))
 
 
 class BernoulliModel:
@@ -273,19 +244,19 @@ def coverage_experiment(
     """Measure how often the +/-kappa interval captures a known mean.
 
     Runs ``repetitions`` independent estimates of a Bernoulli model with
-    the given mean, as the rows of one lockstep run, and reports the fraction whose interval contains it,
-    against the threshold (1 - alpha) minus three-sigma binomial slack,
+    the given mean, as options 0..repetitions-1 of one ``verify_options``
+    call, and reports the fraction whose interval contains it, against the
+    threshold (1 - alpha) minus three-sigma binomial slack,
     with the mean and largest run count of an estimate and their cap.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be a positive integer")
     if not 0.0 <= true_mean <= 1.0:
         raise ValueError("true_mean must lie in [0, 1]")
-    seeds = [mix64(base_seed, rep) for rep in range(repetitions)]
-    estimates = _estimate_rows(BernoulliModel(true_mean), config, seeds, lambda row: f"repetition {row}")
+    estimates = verify_options(BernoulliModel(true_mean), range(repetitions), config, base_seed)
     target = config.kappa_scale * true_mean
-    hits = sum(1 for est in estimates if abs(est.mean - target) <= est.kappa)
-    samples = [est.samples_used for est in estimates]
+    hits = sum(1 for _, est in estimates if abs(est.mean - target) <= config.kappa)
+    samples = [est.samples_used for _, est in estimates]
     coverage = hits / repetitions
     nominal = 1.0 - config.alpha
     slack = 3.0 * math.sqrt(nominal * config.alpha / repetitions)

@@ -544,3 +544,16 @@ class TestFeatures:
             for i in range(topo.option_count):
                 settings = tuple((i >> bit) & 1 for bit in range(width))
                 assert design[i].tolist() == list(settings + env.interference + env.load)
+
+    def test_setting_columns_agree_with_the_simulator_slots(self):
+        # The regressor's power and split inputs describe the routing the
+        # simulator and the oracle run, for every option.
+        for topo in (DESK, FULL):
+            env = initial_environment(topo)
+            slots = NetworkView(topo, env).slots(np.arange(topo.option_count))
+            design = features(topo, env)
+            powers = design[:, : topo.mote_count].T
+            splits = design[:, topo.mote_count : topo.mote_count + len(topo.split_motes)].T
+            np.testing.assert_array_equal(powers, slots & 1)
+            np.testing.assert_array_equal(splits == 1, slots[np.array(topo.split_motes) - 1] < 2)
+            assert set(np.unique(splits).tolist()) == {0.0, 1.0}

@@ -11,9 +11,7 @@ from adaptlab.seeds import derive_seeds, mix64
 from adaptlab.smc import (
     BernoulliModel,
     SmcConfig,
-    StochasticModel,
     coverage_experiment,
-    estimate,
     first_check,
     required_samples,
     verify_options,
@@ -59,6 +57,13 @@ class RowMeansModel:
 
     def simulate_batch(self, rows: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         return np.array([simulate(BernoulliModel(self.means[r]), s) for r, s in zip(rows, seeds)]).reshape(seeds.shape)
+
+
+def one_estimate(model, config, base_seed):
+    """The estimate of the model's row 0 as option 0 of ``verify_options``,
+    whose runs are seeded from ``mix64(base_seed, 0)``."""
+    [(_, est)] = verify_options(model, [0], config, base_seed)
+    return est
 
 
 def reference_estimate(model, config, base_seed):
@@ -128,10 +133,8 @@ class TestRequiredSamples:
 class TestEstimate:
     def test_constant_model_is_exact(self):
         config = SmcConfig(epsilon=0.1, alpha=0.1, kappa_scale=100.0)
-        est = estimate(ConstantModel(0.25), config, base_seed=0)
+        est = one_estimate(ConstantModel(0.25), config, base_seed=0)
         assert est.mean == 25.0
-        assert est.kappa == 10.0
-        assert est.alpha == 0.1
         # a constant stops at the first check, short of the fixed Hoeffding size
         assert est.samples_used == first_check(0.1, 0.1) == 114
         assert est.samples_used < required_samples(0.1, 0.1)
@@ -139,36 +142,36 @@ class TestEstimate:
     def test_pure_function_of_seed(self):
         config = SmcConfig(epsilon=0.05, alpha=0.1)
         model = BernoulliModel(0.37)
-        a = estimate(model, config, base_seed=99)
-        b = estimate(model, config, base_seed=99)
+        a = one_estimate(model, config, base_seed=99)
+        b = one_estimate(model, config, base_seed=99)
         assert a == b
         # distinct seeds give distinct sample paths (individual means may
         # coincide by chance, but not across a handful of seeds)
-        means = {estimate(model, config, base_seed=s).mean for s in range(100, 105)}
+        means = {one_estimate(model, config, base_seed=s).mean for s in range(100, 105)}
         assert len(means) > 1
 
     def test_scalar_path_equals_batch_path_bitwise(self):
         config = SmcConfig(epsilon=0.05, alpha=0.1)
-        batched = estimate(BernoulliModel(0.37), config, base_seed=21)
-        scalar = estimate(OneSeedAtATimeBernoulli(0.37), config, base_seed=21)
+        batched = one_estimate(BernoulliModel(0.37), config, base_seed=21)
+        scalar = one_estimate(OneSeedAtATimeBernoulli(0.37), config, base_seed=21)
         assert batched == scalar
 
     def test_kappa_scale_is_linear(self):
         model = BernoulliModel(0.5)
-        small = estimate(model, SmcConfig(epsilon=0.05, alpha=0.1, kappa_scale=100.0), 5)
-        large = estimate(model, SmcConfig(epsilon=0.05, alpha=0.1, kappa_scale=200.0), 5)
+        small = one_estimate(model, SmcConfig(epsilon=0.05, alpha=0.1, kappa_scale=100.0), 5)
+        large = one_estimate(model, SmcConfig(epsilon=0.05, alpha=0.1, kappa_scale=200.0), 5)
         assert large.mean == 2.0 * small.mean
-        assert large.kappa == 2.0 * small.kappa
 
     def test_estimate_lands_near_truth(self):
-        est = estimate(BernoulliModel(0.3), SmcConfig(epsilon=0.02, alpha=0.05), 11)
-        assert abs(est.mean - 30.0) <= est.kappa
+        config = SmcConfig(epsilon=0.02, alpha=0.05)
+        est = one_estimate(BernoulliModel(0.3), config, 11)
+        assert abs(est.mean - 30.0) <= config.kappa
 
     def test_rejects_outcomes_outside_unit_interval(self):
         with pytest.raises(ValueError, match="outside"):
-            estimate(ConstantModel(1.5), SmcConfig(epsilon=0.1, alpha=0.1), 0)
+            one_estimate(ConstantModel(1.5), SmcConfig(epsilon=0.1, alpha=0.1), 0)
         with pytest.raises(ValueError, match="outside"):
-            estimate(ConstantModel(float("nan")), SmcConfig(epsilon=0.1, alpha=0.1), 0)
+            one_estimate(ConstantModel(float("nan")), SmcConfig(epsilon=0.1, alpha=0.1), 0)
 
 
 class TestSequentialStopping:
@@ -197,8 +200,8 @@ class TestSequentialStopping:
         stops = set()
         for p in (0.0, 0.02, 0.1, 0.3):
             for seed in range(6):
-                est = estimate(BernoulliModel(p), config, seed)
-                center, runs = reference_estimate(BernoulliModel(p), config, seed)
+                est = one_estimate(BernoulliModel(p), config, seed)
+                center, runs = reference_estimate(BernoulliModel(p), config, mix64(seed, 0))
                 assert (est.mean, est.samples_used) == (100.0 * center, runs), (p, seed)
                 stops.add(runs)
         assert len(stops) >= 3  # first check, a later one and the cap
@@ -207,8 +210,8 @@ class TestSequentialStopping:
         config = SmcConfig(epsilon=0.02, alpha=0.1)
         used = set()
         for seed in range(4):
-            batched = estimate(BernoulliModel(0.03), config, seed)
-            assert estimate(OneSeedAtATimeBernoulli(0.03), config, seed) == batched
+            batched = one_estimate(BernoulliModel(0.03), config, seed)
+            assert one_estimate(OneSeedAtATimeBernoulli(0.03), config, seed) == batched
             used.add(batched.samples_used)
         assert max(used) > first_check(0.02, 0.1)  # some estimates take several chunks
 
@@ -219,7 +222,8 @@ class TestVerifyOptions:
         assert verify_options(BernoulliModel(0.2), [], config, 0) == []
         [(oid, est)] = verify_options(BernoulliModel(0.2), [4], config, 12)
         assert oid == 4
-        assert est == estimate(BernoulliModel(0.2), config, mix64(12, 4))
+        center, runs = reference_estimate(BernoulliModel(0.2), config, mix64(12, 4))
+        assert (est.mean, est.samples_used) == (100.0 * center, runs)
 
     def test_order_independent(self):
         config = SmcConfig(epsilon=0.1, alpha=0.1)
@@ -234,14 +238,15 @@ class TestVerifyOptions:
 
     def test_rows_match_one_estimate_each(self):
         # Rows of very different variance stop at different checks of one
-        # lockstep group; each matches the estimate of its row alone.
+        # lockstep group; each matches the plain loop over its row alone.
         config = SmcConfig(epsilon=0.02, alpha=0.1)
         means = [0.0, 0.5, 0.02, 0.3, 0.1, 1.0, 0.03]
         model = RowMeansModel(means)
         verified = verify_options(model, range(len(means)), config, 5)
         assert [oid for oid, _ in verified] == list(range(len(means)))
         for oid, est in verified:
-            assert est == estimate(BernoulliModel(means[oid]), config, mix64(5, oid)), oid
+            center, runs = reference_estimate(BernoulliModel(means[oid]), config, mix64(5, oid))
+            assert (est.mean, est.samples_used) == (100.0 * center, runs), oid
         assert len({est.samples_used for _, est in verified}) >= 3
 
     def test_outcome_outside_unit_interval_names_option_and_run(self):
@@ -312,10 +317,6 @@ class TestConfig:
         ):
             with pytest.raises(ValueError):
                 SmcConfig(**kwargs)
-
-    def test_protocol_recognizes_models(self):
-        assert isinstance(BernoulliModel(0.5), StochasticModel)
-        assert isinstance(ConstantModel(0.5), StochasticModel)
 
 
 class TestCoverage:
