@@ -169,7 +169,6 @@ class AdaptationEngine:
             predictions = predict_batch(self.model, design)
             best_prediction = float(predictions.min())
             cut = cutoff(predictions)
-            # Python ints: mix64 seeds each option from its id
             candidate_ids = np.flatnonzero(predictions <= cut).tolist()
 
         verified = verify_options(NetworkModel(view, candidate_ids), candidate_ids, self.config.smc, smc_seed)

@@ -1,14 +1,13 @@
 """Least-squares linear regression over adaptation-option features.
 
-The fit standardizes each feature to zero mean / unit variance over the
-training window (conditioning only; capacity is unchanged), solves the
-normal equations, and folds the standardization back into raw-space
-weights, so a trained model predicts just ``weights @ x + intercept``.
-
-When the Gram matrix is not positive definite (duplicate or constant
-features, fewer samples than dimensions) a small ridge term scaled to the
-Gram trace is added to the weight block, keeping the solve deterministic
-with no tuning. Models are immutable; retraining is a fresh ``fit``.
+The fit centres each feature over the training window and scales it to
+unit variance (conditioning only; capacity is unchanged), solves the
+centred normal equations once with ``np.linalg.lstsq``, and folds the
+scale back into raw-space weights, so a trained model predicts just
+``weights @ x + intercept``. When the window leaves weights undetermined
+(duplicate or constant features, fewer samples than dimensions), the
+solve returns the scaled weights of minimum norm. Models are immutable;
+retraining is a fresh ``fit``.
 """
 
 from __future__ import annotations
@@ -17,9 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# Ridge scale applied to the weight diagonal when the plain solve fails.
-RIDGE_SCALE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -42,30 +38,6 @@ def _training_window(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return x, y
 
 
-def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray, n_features: int) -> np.ndarray:
-    """Solve gram @ theta = rhs, adding trace-scaled ridge on failure."""
-    try:
-        np.linalg.cholesky(gram)
-        theta = np.linalg.solve(gram, rhs)
-        if np.all(np.isfinite(theta)):
-            return theta
-    except np.linalg.LinAlgError:
-        pass
-    trace_scale = float(np.trace(gram[:n_features, :n_features])) / max(n_features, 1)
-    ridge = RIDGE_SCALE * max(trace_scale, 1.0)
-    regularized = gram.copy()
-    for _ in range(8):
-        regularized[np.arange(n_features), np.arange(n_features)] += ridge
-        try:
-            theta = np.linalg.solve(regularized, rhs)
-            if np.all(np.isfinite(theta)):
-                return theta
-        except np.linalg.LinAlgError:
-            pass
-        ridge *= 10.0
-    raise np.linalg.LinAlgError("normal equations unsolvable even with ridge regularization")
-
-
 def fit(x: np.ndarray, y: np.ndarray) -> LinearModel:
     """Least-squares fit of the targets y on the rows of the (m, d) matrix x.
 
@@ -74,23 +46,16 @@ def fit(x: np.ndarray, y: np.ndarray) -> LinearModel:
     is order-independent).
     """
     x, y = _training_window(x, y)
-    m, n = x.shape
-
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     std = np.where(std > 0.0, std, 1.0)
     xs = (x - mean) / std
-
-    design = np.hstack([xs, np.ones((m, 1))])
-    gram = design.T @ design
-    rhs = design.T @ y
-    theta = _solve_normal_equations(gram, rhs, n)
-
-    scaled_w = theta[:n]
-    scaled_b = theta[n]
+    target_mean = y.mean()
+    scaled_w = np.linalg.lstsq(xs.T @ xs, xs.T @ (y - target_mean), rcond=None)[0]
+    if not np.all(np.isfinite(scaled_w)):
+        raise np.linalg.LinAlgError("least-squares weights are not finite")
     weights = scaled_w / std
-    intercept = float(scaled_b - weights @ mean)
-    return LinearModel(weights=weights, intercept=intercept)
+    return LinearModel(weights=weights, intercept=float(target_mean - weights @ mean))
 
 
 def predict_batch(model: LinearModel, features: np.ndarray) -> np.ndarray:

@@ -51,7 +51,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .seeds import mix64, stream_uint64
+from .seeds import stream_uint64
 
 
 class StochasticModel(Protocol):
@@ -182,7 +182,7 @@ def verify_options(
     cap = required_samples(epsilon, level)
     first = first_check(epsilon, config.alpha)
     group = max(1, RUN_BUDGET // first)
-    keys = np.array([mix64(base_seed, oid) for oid in ids], dtype=np.uint64)
+    keys = stream_uint64(np.uint64(base_seed), np.array(ids, dtype=np.uint64))
     centers, used = [0.0] * len(ids), [0] * len(ids)
     for start in range(0, len(ids), group):
         running = np.arange(start, min(start + group, len(ids)))  # rows whose estimate has not stopped

@@ -77,11 +77,32 @@ class TestFit:
         assert np.all(np.isfinite(model.weights))
         assert empirical_risk(model, x, 2 * x[:, 0]) < 1e-9
 
-    def test_underdetermined_falls_back_to_ridge(self):
+    def test_underdetermined_fit_interpolates_its_samples(self):
         rng = np.random.default_rng(13)
-        model = fit(*make_dataset([1.0, 2.0, 3.0, 4.0, 5.0], 0.0, 3, rng))  # 3 samples, 5 dims
+        x, y = make_dataset([1.0, 2.0, 3.0, 4.0, 5.0], 0.0, 3, rng)  # 3 samples, 5 dims
+        model = fit(x, y)
         assert np.all(np.isfinite(model.weights))
         assert math.isfinite(model.intercept)
+        assert empirical_risk(model, x, y) < 1e-12
+
+    def test_duplicated_feature_column_shares_its_weight(self):
+        rng = np.random.default_rng(19)
+        x, y = make_dataset([1.5, -0.5], 2.0, 30, rng, noise=0.5)
+        doubled = fit(np.column_stack([x, x[:, 1]]), y)
+        single = fit(x, y)
+        assert doubled.weights[1] == pytest.approx(doubled.weights[2], rel=1e-9)
+        probes = rng.normal(size=(10, 2))
+        np.testing.assert_allclose(
+            predict_batch(doubled, np.column_stack([probes, probes[:, 1]])),
+            predict_batch(single, probes),
+            atol=1e-9,
+        )
+
+    def test_nan_target_raises(self):
+        x = np.random.default_rng(7).normal(size=(4, 2))
+        y = np.array([1.0, 2.0, np.nan, 4.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            fit(x, y)
 
     def test_rejects_empty_and_ragged(self):
         model = LinearModel(weights=np.array([1.0]), intercept=0.0)
