@@ -1,13 +1,13 @@
 """Least-squares linear regression over adaptation-option features.
 
-The fit centres each feature over the training window and scales it to
-unit variance (conditioning only; capacity is unchanged), solves the
-centred normal equations once with ``np.linalg.lstsq``, and folds the
-scale back into raw-space weights, so a trained model predicts just
-``weights @ x + intercept``. When the window leaves weights undetermined
-(duplicate or constant features, fewer samples than dimensions), the
-solve returns the scaled weights of minimum norm. Models are immutable;
-retraining is a fresh ``fit``.
+The fit centres the features and the targets over the training window
+and solves the centred normal equations once with ``np.linalg.lstsq`` on
+the unscaled columns; a model predicts ``weights @ x + intercept``.
+``rcond=None`` drops singular values of the Gram matrix below its size
+times machine epsilon times the largest, so a direction the window leaves
+undetermined (duplicate or constant features, fewer samples than
+dimensions) gets no weight: the weights are those of minimum norm. Models
+are immutable; retraining is a fresh ``fit``.
 """
 
 from __future__ import annotations
@@ -47,14 +47,11 @@ def fit(x: np.ndarray, y: np.ndarray) -> LinearModel:
     """
     x, y = _training_window(x, y)
     mean = x.mean(axis=0)
-    std = x.std(axis=0)
-    std = np.where(std > 0.0, std, 1.0)
-    xs = (x - mean) / std
+    xc = x - mean
     target_mean = y.mean()
-    scaled_w = np.linalg.lstsq(xs.T @ xs, xs.T @ (y - target_mean), rcond=None)[0]
-    if not np.all(np.isfinite(scaled_w)):
+    weights = np.linalg.lstsq(xc.T @ xc, xc.T @ (y - target_mean), rcond=None)[0]
+    if not np.all(np.isfinite(weights)):
         raise np.linalg.LinAlgError("least-squares weights are not finite")
-    weights = scaled_w / std
     return LinearModel(weights=weights, intercept=float(target_mean - weights @ mean))
 
 

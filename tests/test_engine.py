@@ -1,5 +1,9 @@
 """Adaptation loop: cutoff rule, reduction, warm-up behavior, determinism."""
 
+import importlib
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,9 +16,18 @@ from adaptlab.engine import (
     cutoff,
     run_experiment,
 )
-from adaptlab.netsim import EnvironmentWalk, Link, Mote, NetworkTopology, desk_topology, features, full_topology
+from adaptlab.netsim import (
+    EnvironmentWalk,
+    Link,
+    Mote,
+    NetworkTopology,
+    desk_topology,
+    features,
+    full_topology,
+    true_expected_loss,
+)
 from adaptlab.regression import predict_batch
-from adaptlab.smc import SmcConfig
+from adaptlab.smc import SmcConfig, verify_options
 
 DESK = desk_topology()
 # coarse verification keeps engine tests fast; accuracy is not the point here
@@ -233,3 +246,40 @@ class TestWalkIntegration:
         first = engine.env
         engine.run_cycle()
         assert engine.env != first
+
+
+class TestInLoopVerifier:
+    def test_estimates_lie_within_kappa_of_the_oracle(self, monkeypatch):
+        """Each candidate estimate of a desk run, paired with the oracle's
+        loss of its option in the same cycle, lies within +/-kappa at the
+        claimed rate 1 - alpha, less three binomial sigmas."""
+        config = EngineConfig(warmup_cycles=30, total_cycles=60, smc=SmcConfig(epsilon=0.05))
+        verified = []
+        outcomes = []
+
+        def recording_verify(*args):
+            verified[:] = verify_options(*args)
+            return verified
+
+        def paired_truth(view):
+            truths = true_expected_loss(view)
+            outcomes.extend(abs(est.mean - truths[oid]) <= config.smc.kappa for oid, est in verified)
+            verified.clear()
+            return truths
+
+        monkeypatch.setattr("adaptlab.engine.verify_options", recording_verify)
+        monkeypatch.setattr("adaptlab.engine.true_expected_loss", paired_truth)
+        run_experiment(DESK, config, base_seed=20260816)
+        alpha, n = config.smc.alpha, len(outcomes)
+        assert n >= 30 * DESK.option_count
+        assert sum(outcomes) / n >= 1.0 - alpha - 3.0 * math.sqrt(alpha * (1.0 - alpha) / n)
+
+
+class TestBenchmarkHooks:
+    def test_every_hook_target_exists(self, monkeypatch):
+        """The benchmark's traced run wraps these names; one that a refactor
+        renames would silently drop its layer metrics."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        spans = importlib.import_module("spans")
+        with spans.installed(spans.Tracer()) as tracer:
+            assert tracer.absent == []

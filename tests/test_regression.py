@@ -69,13 +69,19 @@ class TestFit:
         np.testing.assert_allclose(model.weights, theta[:4], atol=1e-8)
         assert model.intercept == pytest.approx(theta[4], abs=1e-8)
 
-    def test_constant_feature_column_is_handled(self):
+    @pytest.mark.parametrize("rows, value", [(30, 7.0), (30, 0.1), (100, 0.3)])
+    def test_constant_feature_column_is_handled(self, rows, value):
+        """A constant column gets no weight, also when its float mean is
+        inexact (30 rows of 0.1, 100 of 0.3) and it centres to roundoff."""
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(30, 2))
-        x[:, 1] = 7.0  # zero variance
+        x = rng.normal(size=(rows, 2))
+        x[:, 1] = value  # zero variance
         model = fit(x, 2 * x[:, 0])
         assert np.all(np.isfinite(model.weights))
         assert empirical_risk(model, x, 2 * x[:, 0]) < 1e-9
+        assert abs(model.weights[1]) < 1e-9
+        shifted = x[:1] + [0.0, 1.0]
+        assert abs(predict_batch(model, shifted)[0] - predict_batch(model, x[:1])[0]) < 1e-9
 
     def test_underdetermined_fit_interpolates_its_samples(self):
         rng = np.random.default_rng(13)
