@@ -27,7 +27,9 @@ mote's link and power under every option as ``2 * link + power``:
   seed). A mote holding k packets delivers Binomial(k, q) of them over its
   link, drawn by inverse CDF from one uniform per (seed, mote), children
   before parents, on inverse-CDF tables the model builds for all its slots
-  in one call (``binomial_keys``). Each draw is addressed by (seed, mote
+  in one call (``binomial_keys``; row k of a table starts at key
+  k (k + 1) / 2 and ends with the key of probability 1). One draw call per
+  batch gives every mote its uniforms. Each draw is addressed by (seed, mote
   id), so a batch of runs over many options is bit-identical to the same
   runs executed one by one (as batches of one) - which is what makes SMC
   estimates over this model reproducible.
@@ -286,29 +288,30 @@ def true_expected_loss(view: NetworkView) -> np.ndarray:
 
 
 # A mote's inverse-CDF table is one sorted uint64 array of keys
-# (k << _KEY_SHIFT) + floor(P(Binomial(k, q) <= j) * 2**_KEY_SHIFT); a key
-# reaches (k + 1) << _KEY_SHIFT when that probability is 1, so k + 1 must
+# (k << _KEY_SHIFT) + floor(P(Binomial(k, q) <= j) * 2**_KEY_SHIFT); row k
+# ends with the key (k + 1) << _KEY_SHIFT of probability 1, so k + 1 must
 # fit in the 64 - _KEY_SHIFT bits above the fraction.
 _KEY_SHIFT = 56
 MAX_MOTE_PACKETS = (1 << (64 - _KEY_SHIFT)) - 2
-# Row k of every table starts at key index k (k - 1) / 2: the rows below
-# it hold 0, 1, ..., k - 1 keys.
-_ROW_STARTS = np.array([k * (k - 1) // 2 for k in range(MAX_MOTE_PACKETS + 1)], dtype=np.uint64)
+# The delivered count at each table position: a search within row k lands
+# at the row's start, k (k + 1) / 2, plus the count.
+_COUNTS = np.concatenate([np.arange(k + 1, dtype=np.uint8) for k in range(MAX_MOTE_PACKETS + 1)])
 
 
 def binomial_keys(qs: Sequence[float], cap: int) -> np.ndarray:
     """Inverse-CDF tables of Binomial(k, q) for every k in 0..cap, row i of
     the result being the table for qs[i].
 
-    A table holds, for each k and j in 0..k-1, the key
+    A table holds, for each k and j in 0..k, the key
     (k << 56) + floor(F_k(j) * 2^56), where F_k(j) = P(Binomial(k, q) <= j),
-    ordered by k, then j; F_k(k) = 1 needs no key. For a uniform u in
-    [0, 2^56), the number of k keys at most (k << 56) + u is
-    #{j < k : F_k(j) * 2^56 <= u}, the inverse CDF at u. Every smaller k's
-    keys lie at or below k << 56 and every larger k's above it, so
-    ``searchsorted(table, (k << 56) + u, side="right") - _ROW_STARTS[k]``
-    counts exactly those. The keys of k up to c are the table's first
-    c (c + 1) / 2, whatever cap is, so a table may be cut there.
+    ordered by k, then j, so row k starts at key k (k + 1) / 2 and ends with
+    (k + 1) << 56. For a uniform u in [0, 2^56), the number of row k's keys
+    at most (k << 56) + u is #{j < k : F_k(j) * 2^56 <= u}, the inverse CDF
+    at u. Every smaller k's keys lie at or below k << 56, and row k's last
+    key and every larger k's above (k << 56) + u, so
+    ``_COUNTS[searchsorted(table, (k << 56) + u, side="right")]`` is that
+    count. The keys of k up to c are the table's first (c + 1) (c + 2) / 2,
+    whatever cap is, so a table may be cut there.
 
     The keys come from Pascal's rule F_k(j) = q F_{k-1}(j-1) + (1-q) F_{k-1}(j),
     with F_{k-1}(-1) = 0 and F_{k-1}(j) = 1 for j >= k-1, one step for every
@@ -318,15 +321,15 @@ def binomial_keys(qs: Sequence[float], cap: int) -> np.ndarray:
     """
     q = np.asarray(qs, dtype=np.float64)[:, None]
     r = 1.0 - q
-    # Before step k, column j + 1 holds F_{k-1}(j) for j in -1..cap-1: 0 at
+    # Before step k, column j + 1 holds F_{k-1}(j) for j in -1..cap: 0 at
     # j = -1 and 1 from j = k-1 on, which step k has not written yet.
-    cdf = np.ones((len(q), cap + 1))
+    cdf = np.ones((len(q), cap + 2))
     cdf[:, 0] = 0.0
-    fractions = [cdf[:, :0]]  # k = 0 has no keys
+    fractions = [cdf[:, 1:2].copy()]  # k = 0: only the end key
     for k in range(1, cap + 1):
         cdf[:, 1 : k + 1] = r * cdf[:, 1 : k + 1] + q * cdf[:, :k]
-        fractions.append(cdf[:, 1 : k + 1].copy())
-    rows = np.repeat(np.arange(cap + 1, dtype=np.uint64), np.arange(cap + 1))
+        fractions.append(cdf[:, 1 : k + 2].copy())
+    rows = np.repeat(np.arange(cap + 1, dtype=np.uint64), np.arange(1, cap + 2))
     return (rows << np.uint64(_KEY_SHIFT)) + np.floor(np.hstack(fractions) * 2.0**_KEY_SHIFT).astype(np.uint64)
 
 
@@ -340,12 +343,13 @@ class NetworkModel:
     it holds in a run (its own plus those its children delivered), the count
     it delivers to its parent is Binomial(k, q). Run s draws that count by
     inverse CDF from one uniform per mote, ``stream_uint64(s, mote_id)``,
-    processing children before parents. Per mote, the options are grouped by
-    slot, and each group's runs are looked up in one ``searchsorted`` on the
-    slot's ``binomial_keys``, which hold every k the mote can hold under any
-    of the group's options. So an outcome depends only on its option and
-    seed: a batch over many rows and seeds is bit-identical to batches of
-    one row and one seed each.
+    drawn for every mote in one call per batch, and processes children
+    before parents. Per mote, the options are grouped by slot, and each
+    group's runs are looked up in one ``searchsorted`` on the slot's
+    ``binomial_keys``, which hold every k the mote can hold under any of the
+    group's options; ``_COUNTS`` turns the position found into the count.
+    So an outcome depends only on its option and seed: a batch over many
+    rows and seeds is bit-identical to batches of one row and one seed each.
     """
 
     def __init__(self, view: NetworkView, option_ids: Sequence[int] | np.ndarray):
@@ -378,9 +382,10 @@ class NetworkModel:
                 plan.append((mote_id, own, row, groups))
         keys = iter(binomial_keys(qs, top))
         self._plan = [
-            (mote_id, own, row, [(slot, parent, next(keys)[: cap * (cap + 1) // 2]) for slot, parent, cap in groups])
+            (mote_id, own, row, [(slot, parent, next(keys)[: (cap + 1) * (cap + 2) // 2]) for slot, parent, cap in groups])
             for mote_id, own, row, groups in plan
         ]
+        self._mote_ids = np.array([mote_id for mote_id, _, _, _ in plan], dtype=np.uint64)
 
     def simulate_batch(self, rows: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.intp)
@@ -388,19 +393,18 @@ class NetworkModel:
         total = self._total_generated
         if total == 0:
             return np.zeros(seeds.shape, dtype=np.float64)
+        # every planned mote's 56-bit uniform in every (row, run), plan order
+        uniforms = stream_uint64(seeds, self._mote_ids.reshape((-1,) + (1,) * seeds.ndim))
+        np.right_shift(uniforms, np.uint64(64 - _KEY_SHIFT), out=uniforms)
         arrivals = np.zeros((self._mote_count + 1,) + seeds.shape, dtype=np.uint64)
         shift = np.uint64(_KEY_SHIFT)
-        for mote_id, generated, slots, groups in self._plan:
-            packets = arrivals[mote_id] + generated
-            # the mote's 56-bit uniform in every (row, run)
-            uniforms = stream_uint64(seeds, np.uint64(mote_id)) >> np.uint64(64 - _KEY_SHIFT)
-            keys = (packets << shift) | uniforms
+        for (mote_id, generated, slots, groups), mote_uniforms in zip(self._plan, uniforms):
+            keys = ((arrivals[mote_id] + generated) << shift) | mote_uniforms
             active = slots[rows]
             for slot, parent, table in groups:
                 members = np.flatnonzero(active == slot)
                 if len(members):
-                    found = np.searchsorted(table, keys[members], side="right")
-                    arrivals[parent, members] += found.astype(np.uint64) - _ROW_STARTS[packets[members]]
+                    arrivals[parent, members] += _COUNTS[np.searchsorted(table, keys[members], side="right")]
         lost = total - arrivals[0]
         return lost.astype(np.float64) / total
 

@@ -8,7 +8,8 @@ across platforms.
 
 Scalar helpers operate on Python ints (exact, no overflow warnings); the
 ``*_array`` variants are elementwise-identical numpy implementations used
-on hot paths. ``test_seeds.py`` pins the scalar/vector equivalence.
+on hot paths; they mix fresh arrays in place and never write into their
+inputs. ``test_seeds.py`` pins the scalar/vector equivalence.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ _PHI = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _FOLD_INIT = 0x243F6A8885A308D3
+_PHI_U64, _MIX1_U64, _MIX2_U64, _FOLD_INIT_U64, _S27, _S30, _S31 = map(np.uint64, (_PHI, _MIX1, _MIX2, _FOLD_INIT, 27, 30, 31))
 
 
 def splitmix64(value: int) -> int:
@@ -50,26 +52,38 @@ def hash01(*parts: int) -> float:
     return mix64(*parts) / 2.0**64
 
 
+def _mix_in_place(z: np.ndarray) -> np.ndarray:
+    """:func:`splitmix64` of every element of the uint64 array ``z``,
+    written back into ``z`` with one scratch array of its shape. ufuncs on
+    arrays, 0-d ones included, wrap silently, as uint64 arithmetic must."""
+    scratch = np.empty_like(z)
+    np.add(z, _PHI_U64, out=z)
+    for shift, factor in ((_S30, _MIX1_U64), (_S27, _MIX2_U64)):
+        np.right_shift(z, shift, out=scratch)
+        np.bitwise_xor(z, scratch, out=z)
+        np.multiply(z, factor, out=z)
+    np.right_shift(z, _S31, out=scratch)
+    return np.bitwise_xor(z, scratch, out=z)
+
+
 def splitmix64_array(values: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`splitmix64`; input must be a uint64 ndarray."""
-    with np.errstate(over="ignore"):
-        z = values + np.uint64(_PHI)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+    """Vectorized :func:`splitmix64`, mixing a fresh array in place; the
+    input is read, never written."""
+    return _mix_in_place(np.array(values, dtype=np.uint64))
 
 
 def stream_uint64(seeds: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Raw 64-bit draws for every (seed, index) pair, broadcasting.
 
     Elementwise-identical to ``mix64(seed, index)`` by construction:
-    both fold the same two values through the same avalanche chain.
+    both fold the same two values through the same avalanche chain. Each
+    seed is folded once, however many indices it is paired with, and both
+    rounds mix fresh arrays in place, so neither input is written.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    indices = np.asarray(indices, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        h = splitmix64_array(np.uint64(_FOLD_INIT) ^ seeds)
-        return splitmix64_array(h ^ indices)
+    # a ufunc returns a fresh array, or a scalar for 0-d inputs, which
+    # asarray turns into a fresh 0-d array
+    folded = _mix_in_place(np.asarray(np.asarray(seeds, dtype=np.uint64) ^ _FOLD_INIT_U64))
+    return _mix_in_place(np.asarray(folded ^ np.asarray(indices, dtype=np.uint64)))
 
 
 def derive_seeds(base_seed: int, n: int) -> np.ndarray:

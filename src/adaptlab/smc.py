@@ -141,11 +141,13 @@ def _intervals_fit(outcomes: np.ndarray, centers: np.ndarray, epsilon: float, le
     low, high = centers - epsilon, centers + epsilon
     up = np.flatnonzero(low > 0.0)
     if len(up):
+        up = slice(None) if len(up) == len(fits) else up  # all rows: views, not copies
         edge = low[up, None]
         capital = np.log1p(np.minimum(bets[up], _BET_CAP / edge) * (outcomes[up] - edge)).sum(axis=1)
         fits[up] = capital >= log_target
     down = np.flatnonzero(high < 1.0)
     if len(down):
+        down = slice(None) if len(down) == len(fits) else down
         edge = high[down, None]
         capital = np.log1p(np.minimum(bets[down], _BET_CAP / (1.0 - edge)) * (edge - outcomes[down])).sum(axis=1)
         fits[down] &= capital >= log_target
@@ -201,7 +203,7 @@ def verify_options(
                     f"{float(chunk[r, j])!r} outside [0, 1]"
                 )
             outcomes = np.concatenate([outcomes, chunk], axis=1)
-            means = [math.fsum(row) / n for row in outcomes.tolist()]
+            means = [math.fsum(row.data) / n for row in outcomes]
             if n == cap:
                 stop = np.ones(len(running), dtype=bool)
             else:

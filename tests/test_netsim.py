@@ -75,11 +75,12 @@ def reference_loss(topology, env, option_id, delivery_override=None):
 
 def reference_keys(q, cap):
     """One Binomial table as a plain loop: Pascal's rule on Python floats,
-    key (k << 56) + floor(F_k(j) * 2^56) for k in 1..cap and j in 0..k-1."""
-    keys, cdf = [], []
+    for k in 0..cap the keys (k << 56) + floor(F_k(j) * 2^56) for j in
+    0..k-1, then row k's end key (k + 1) << 56."""
+    keys, cdf = [1 << 56], []
     for k in range(1, cap + 1):
         cdf = [(1.0 - q) * a + q * b for a, b in zip(cdf + [1.0], [0.0] + cdf)]
-        keys += [(k << 56) + math.floor(f * 2.0**56) for f in cdf]
+        keys += [(k << 56) + math.floor(f * 2.0**56) for f in cdf] + [(k + 1) << 56]
     return keys
 
 
@@ -396,16 +397,31 @@ class TestNetworkView:
         keys = netsim.binomial_keys(qs, 30)
         for q, table in zip(qs, keys):
             assert table.tolist() == reference_keys(q, 30), q
-        assert netsim.binomial_keys(qs, 0).shape == (len(qs), 0)
+        assert netsim.binomial_keys(qs, 0).tolist() == [[1 << 56]] * len(qs)
 
     def test_binomial_keys_of_a_smaller_cap_are_a_prefix(self):
         qs = [0.0, 0.37, 0.995, 1.0]
         small, large = netsim.binomial_keys(qs, 9), netsim.binomial_keys(qs, 14)
-        assert small.shape == (4, 9 * 10 // 2) and large.shape == (4, 14 * 15 // 2)
+        assert small.shape == (4, 10 * 11 // 2) and large.shape == (4, 15 * 16 // 2)
         assert np.array_equal(small, large[:, : small.shape[1]])
-        rows = np.repeat(np.arange(15, dtype=np.uint64), np.arange(15)) << np.uint64(56)
-        assert np.array_equal(large[0], rows + (np.uint64(1) << np.uint64(56)))  # q = 0: F = 1
-        assert np.array_equal(large[3], rows)  # q = 1: F = 0 below k
+        assert large[0].tolist() == [(k + 1) << 56 for k in range(15) for _ in range(k + 1)]  # q = 0: F = 1
+        assert large[3].tolist() == [key for k in range(15) for key in [k << 56] * k + [(k + 1) << 56]]  # q = 1: F = 0 below k
+
+    def test_count_lookup_inverts_each_row_at_its_boundaries(self):
+        # The position a search for (k << 56) + u finds reads, through
+        # netsim._COUNTS, #{j < k : floor(F_k(j) 2^56) <= u}: at u = 0, at
+        # each threshold's fraction and one below it, and at 2^56 - 1.
+        cap = 12
+        for q in (0.0, 0.005, 0.37, 0.5, 0.995, 1.0):
+            table, reference = netsim.binomial_keys([q], cap)[0], reference_keys(q, cap)
+            for k in range(cap + 1):
+                start = k * (k + 1) // 2
+                thresholds = [key - (k << 56) for key in reference[start : start + k]]
+                probes = {0, (1 << 56) - 1} | {t for t in thresholds if t < 1 << 56}
+                probes |= {t - 1 for t in thresholds if 0 < t <= 1 << 56}
+                for u in sorted(probes):
+                    found = np.searchsorted(table, np.uint64((k << 56) + u), side="right")
+                    assert netsim._COUNTS[found] == sum(t <= u for t in thresholds), (q, k, u)
 
     def test_warmup_cycle_peak_allocation_is_bounded(self):
         # One model serves the whole warm-up cycle, and the verifier bounds

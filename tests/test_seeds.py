@@ -1,5 +1,7 @@
 """Deterministic seed derivation: scalar/vector equivalence and stream quality."""
 
+import warnings
+
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
@@ -66,6 +68,31 @@ class TestMix64:
     def test_stream_uint64_agrees_elementwise(self, seed, index):
         got = stream_uint64(np.uint64(seed), np.uint64(index))
         assert int(got) == mix64(seed, index)
+
+    def test_scalar_and_0d_seeds_match_mix64_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # uint64 wrap-around must not warn
+            for seed, index in ((MASK64, MASK64), (2**63 + 5, 7)):
+                assert int(stream_uint64(np.uint64(seed), np.uint64(index))) == mix64(seed, index)
+                assert int(stream_uint64(np.array(seed, dtype=np.uint64), index)) == mix64(seed, index)
+                assert int(splitmix64_array(np.array(seed, dtype=np.uint64))) == splitmix64(seed)
+
+    def test_inputs_are_never_written(self):
+        seeds = derive_seeds(11, 50).reshape(5, 10)
+        indices = np.arange(10, dtype=np.uint64)
+        before = seeds.copy(), indices.copy()
+        splitmix64_array(seeds)
+        stream_uint64(seeds, indices)
+        stream_uint64(seeds[:, :1], indices)
+        assert np.array_equal(seeds, before[0]) and np.array_equal(indices, before[1])
+
+    def test_one_call_over_stacked_ids_equals_one_call_per_id(self):
+        seeds = derive_seeds(12, 24).reshape(3, 8)
+        ids = np.array([6, 1, 4, 2**63], dtype=np.uint64)
+        stacked = stream_uint64(seeds, ids.reshape(-1, 1, 1))
+        assert stacked.shape == (len(ids),) + seeds.shape
+        for row, index in zip(stacked, ids):
+            assert np.array_equal(row, stream_uint64(seeds, index))
 
     def test_stream_broadcasts(self):
         seeds = np.array([3, 9], dtype=np.uint64)
