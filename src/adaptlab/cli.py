@@ -11,7 +11,8 @@ Three subcommands:
 
 Every command is deterministic given its flags/config/seed. Numbers are
 serialized with 12 significant digits. Exit codes: 0 success, 1 statistical
-self-test failure, 2 usage or validation error.
+self-test failure, 2 usage or validation error, including an input that
+makes the arithmetic overflow or a bound that is not finite.
 """
 
 from __future__ import annotations
@@ -31,12 +32,6 @@ from .engine import LOSS_DOMAIN, CycleRecord, EngineConfig, run_experiment
 from .netsim import TOPOLOGY_PRESETS, EnvironmentWalk
 from .smc import SmcConfig, coverage_experiment
 
-CSV_HEADER = (
-    "cycle,reduced_size,cutoff,b_hat_w,selected_id,B_r,B_w,"
-    "measured_error,error_bound,min_probability,empirical_risk,bound_holds"
-)
-
-
 def _sig(value: float) -> float:
     """Round to 12 significant digits for stable serialization."""
     return float(format(value, ".12g"))
@@ -48,6 +43,24 @@ def _sig_floats(report: dict) -> dict:
 
 def _cell(value: float | None) -> str:
     return "" if value is None else format(value, ".12g")
+
+
+# Each CSV column once, in order: its header and its cell for a cycle record.
+_CSV_COLUMNS = {
+    "cycle": lambda r: str(r.cycle),
+    "reduced_size": lambda r: str(r.reduced_size),
+    "cutoff": lambda r: _cell(r.cutoff),
+    "b_hat_w": lambda r: _cell(r.b_hat_w),
+    "selected_id": lambda r: str(r.selected_id),
+    "B_r": lambda r: _cell(r.b_r),
+    "B_w": lambda r: _cell(r.b_w),
+    "measured_error": lambda r: _cell(r.measured_error),
+    "error_bound": lambda r: _cell(r.bound.error_bound if r.bound else None),
+    "min_probability": lambda r: _cell(r.bound.min_probability if r.bound else None),
+    "empirical_risk": lambda r: _cell(r.empirical_risk),
+    "bound_holds": lambda r: "" if r.bound_holds is None else ("true" if r.bound_holds else "false"),
+}
+CSV_HEADER = ",".join(_CSV_COLUMNS)
 
 
 # -- bounds --------------------------------------------------------------
@@ -68,7 +81,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         alpha=args.alpha,
     )
     bound = decision_error_bound(inputs, domain, args.cutoff, args.b_hat_w, args.n)
-    print(json.dumps(_sig_floats(asdict(bound)), indent=2))
+    report = _sig_floats(asdict(bound))
+    overflowed = [key for key, value in report.items() if not math.isfinite(value)]
+    if overflowed:  # json would print them as Infinity or NaN, which is not JSON
+        raise ValueError(f"the bound is not finite at these inputs: {', '.join(overflowed)} overflowed")
+    print(json.dumps(report, indent=2))
     return 0
 
 
@@ -172,30 +189,12 @@ def load_experiment_config(path: str) -> ExperimentSpec:
     )
 
 
-def _record_row(record: CycleRecord) -> list[str]:
-    bound = record.bound
-    return [
-        str(record.cycle),
-        str(record.reduced_size),
-        _cell(record.cutoff),
-        _cell(record.b_hat_w),
-        str(record.selected_id),
-        _cell(record.b_r),
-        _cell(record.b_w),
-        _cell(record.measured_error),
-        _cell(bound.error_bound if bound else None),
-        _cell(bound.min_probability if bound else None),
-        _cell(record.empirical_risk),
-        "" if record.bound_holds is None else ("true" if record.bound_holds else "false"),
-    ]
-
-
 def write_records_csv(records: list[CycleRecord], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
+        writer.writerow(list(_CSV_COLUMNS))
         for record in records:
-            writer.writerow(_record_row(record))
+            writer.writerow([cell(record) for cell in _CSV_COLUMNS.values()])
 
 
 def summarize_records(records: list[CycleRecord], warmup_cycles: int) -> dict:
@@ -338,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -174,8 +174,7 @@ class AdaptationEngine:
         verified = verify_options(NetworkModel(view, candidate_ids), candidate_ids, self.config.smc, smc_seed)
         selected_id, _ = min(verified, key=lambda pair: (pair[1].mean, pair[0]))
 
-        verified_ids = [oid for oid, _ in verified]
-        self.window_x = np.concatenate([self.window_x, design[verified_ids]])[-self.window_cap:]
+        self.window_x = np.concatenate([self.window_x, design[candidate_ids]])[-self.window_cap:]
         self.window_y = np.concatenate([self.window_y, [est.mean for _, est in verified]])[-self.window_cap:]
         self.model = fit(self.window_x, self.window_y)
         risk = empirical_risk(self.model, self.window_x, self.window_y)

@@ -230,27 +230,22 @@ class NetworkView:
     """The network at one environment, computed once per cycle for every
     option's oracle value and model: each mote's generated packets, the
     parent of each of its links, and the delivery probability q of each of
-    its slots (see ``slots``), or ``delivery_override`` for all of them.
-    Nothing in a view changes after it is built.
+    its slots (see ``slots``). Nothing in a view changes after it is built.
     """
 
-    def __init__(self, topology: NetworkTopology, env: Environment, delivery_override: float | None = None):
-        if delivery_override is not None and not 0.0 <= delivery_override <= 1.0:
-            raise ValueError(f"delivery probability {delivery_override} outside [0, 1]")
+    def __init__(self, topology: NetworkTopology, env: Environment):
         self.topology = topology
         # round() is banker's rounding; fine, it just needs to be deterministic.
         self.generated = [max(0, round(m.rate * env.load[m.mote_id - 1])) for m in topology.motes]
         interference = dict(zip(topology.link_order, env.interference))
-
-        def q(mote: Mote, link: Link, power: int) -> float:
-            if delivery_override is not None:
-                return delivery_override
-            return link_delivery_prob(link.base_snr, power, interference[mote.mote_id, link.parent])
-
         # Per mote (ascending id): the parent of each link in declared order
         # and the q of each slot.
         self.parents = [tuple(link.parent for link in m.links) for m in topology.motes]
-        self.qs = [tuple(q(m, link, power) for link in m.links for power in (0, 1)) for m in topology.motes]
+        self.qs = [
+            tuple(link_delivery_prob(link.base_snr, power, interference[m.mote_id, link.parent])
+                  for link in m.links for power in (0, 1))
+            for m in topology.motes
+        ]
 
     def slots(self, ids: Sequence[int] | np.ndarray) -> np.ndarray:
         """Row m - 1 holds mote m's slot ``2 * link + power`` under every

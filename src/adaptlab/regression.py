@@ -71,8 +71,6 @@ def empirical_risk(model: LinearModel, x: np.ndarray, y: np.ndarray) -> float:
     so the result does not depend on how the sum might be chunked.
     """
     x, y = _training_window(x, y)
-    if x.shape[1] != model.input_dim:
-        raise ValueError(f"feature length {x.shape[1]} does not match model dimension {model.input_dim}")
-    residuals = y - (x @ model.weights + model.intercept)
+    residuals = y - predict_batch(model, x)
     squares = residuals * residuals
     return math.fsum(squares.tolist()) / len(y)

@@ -6,10 +6,10 @@ through a splitmix64-style avalanche. There is no stateful generator, so
 results are independent of execution order and batching, and portable
 across platforms.
 
-Scalar helpers operate on Python ints (exact, no overflow warnings); the
-``*_array`` variants are elementwise-identical numpy implementations used
-on hot paths; they mix fresh arrays in place and never write into their
-inputs. ``test_seeds.py`` pins the scalar/vector equivalence.
+Scalar helpers operate on Python ints (exact, no overflow warnings);
+``stream_uint64`` is the elementwise-identical numpy form of ``mix64(seed,
+index)`` used on hot paths. ``test_seeds.py`` pins the scalar/vector
+equivalence.
 """
 
 from __future__ import annotations
@@ -66,12 +66,6 @@ def _mix_in_place(z: np.ndarray) -> np.ndarray:
     return np.bitwise_xor(z, scratch, out=z)
 
 
-def splitmix64_array(values: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`splitmix64`, mixing a fresh array in place; the
-    input is read, never written."""
-    return _mix_in_place(np.array(values, dtype=np.uint64))
-
-
 def stream_uint64(seeds: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Raw 64-bit draws for every (seed, index) pair, broadcasting.
 
@@ -84,9 +78,3 @@ def stream_uint64(seeds: np.ndarray, indices: np.ndarray) -> np.ndarray:
     # asarray turns into a fresh 0-d array
     folded = _mix_in_place(np.asarray(np.asarray(seeds, dtype=np.uint64) ^ _FOLD_INIT_U64))
     return _mix_in_place(np.asarray(folded ^ np.asarray(indices, dtype=np.uint64)))
-
-
-def derive_seeds(base_seed: int, n: int) -> np.ndarray:
-    """uint64 array of ``mix64(base_seed, i)`` for i in 0..n-1."""
-    return stream_uint64(np.uint64(base_seed & MASK64), np.arange(n, dtype=np.uint64))
-

@@ -139,18 +139,15 @@ def _intervals_fit(outcomes: np.ndarray, centers: np.ndarray, epsilon: float, le
     bets = np.minimum(_BET_CAP, np.sqrt(2.0 * log_target / (prior * t * np.log1p(t))))
     fits = np.ones(len(outcomes), dtype=bool)
     low, high = centers - epsilon, centers + epsilon
-    up = np.flatnonzero(low > 0.0)
-    if len(up):
-        up = slice(None) if len(up) == len(fits) else up  # all rows: views, not copies
-        edge = low[up, None]
-        capital = np.log1p(np.minimum(bets[up], _BET_CAP / edge) * (outcomes[up] - edge)).sum(axis=1)
-        fits[up] = capital >= log_target
-    down = np.flatnonzero(high < 1.0)
-    if len(down):
-        down = slice(None) if len(down) == len(fits) else down
-        edge = high[down, None]
-        capital = np.log1p(np.minimum(bets[down], _BET_CAP / (1.0 - edge)) * (edge - outcomes[down])).sum(axis=1)
-        fits[down] &= capital >= log_target
+    # (edge, its distance from the bound beyond it, whether it bets on a higher mean)
+    for edges, room, up in ((low, low, True), (high, 1.0 - high, False)):
+        rows = np.flatnonzero(room > 0.0)
+        if len(rows):
+            rows = slice(None) if len(rows) == len(fits) else rows  # all rows: views, not copies
+            edge = edges[rows, None]
+            gains = outcomes[rows] - edge if up else edge - outcomes[rows]
+            capital = np.log1p(np.minimum(bets[rows], _BET_CAP / room[rows, None]) * gains).sum(axis=1)
+            fits[rows] &= capital >= log_target
     return fits
 
 

@@ -89,6 +89,22 @@ class TestBoundsCommand:
             assert captured.out == ""
             assert captured.err.startswith("error: ")
 
+    def test_overflowing_counts_are_usage_errors(self, capsys):
+        for flag in ("--m", "--n"):
+            args = list(self.FLAGS)
+            args[args.index(flag) + 1] = str(10**400)
+            assert main(args) == 2, flag
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+
+    def test_non_finite_bound_is_usage_error(self, capsys):
+        for extra in (["--u-q", "1e200"], ["--kappa-scale", "1e308", "--epsilon", "0.5"]):
+            assert main(self.FLAGS + extra) == 2, extra
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: the bound is not finite")
+
     def test_every_flag_is_honoured(self, capsys):
         rc = main([
             "bounds", "--m", "5000", "--d", "10", "--eta", "0.02",
@@ -374,6 +390,12 @@ class TestSelftestCommand:
             assert captured.out == ""
             assert "--seed" in captured.err
         assert main(["smc-selftest", "--epsilon", "0.06", "--repetitions", "10", "--seed", str(2**64 - 1)]) == 0
+
+    def test_underflowing_epsilon_is_usage_error(self, capsys):
+        assert main(["smc-selftest", "--epsilon", "1e-300"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_bad_mean_is_usage_error(self, capsys):
         assert main(["smc-selftest", "--mean", "1.5", "--repetitions", "10"]) == 2

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from adaptlab.bounds import RiskBoundInputs, expected_risk_terms
+from adaptlab.cli import load_experiment_config
 from adaptlab.engine import (
     LOSS_DOMAIN,
     AdaptationEngine,
@@ -275,11 +276,33 @@ class TestInLoopVerifier:
         assert sum(outcomes) / n >= 1.0 - alpha - 3.0 * math.sqrt(alpha * (1.0 - alpha) / n)
 
 
+def perfbench_module(monkeypatch, name):
+    """A module of the benchmark harness, imported from its directory."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    return importlib.import_module(name)
+
+
 class TestBenchmarkHooks:
     def test_every_hook_target_exists(self, monkeypatch):
         """The benchmark's traced run wraps these names; one that a refactor
         renames would silently drop its layer metrics."""
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-        spans = importlib.import_module("spans")
+        spans = perfbench_module(monkeypatch, "spans")
         with spans.installed(spans.Tracer()) as tracer:
             assert tracer.absent == []
+
+    def test_every_workload_config_loads(self, monkeypatch, tmp_path):
+        """The config loader rejects unknown keys, so every key the benchmark
+        writes must stay a config key."""
+        bench = perfbench_module(monkeypatch, "run")
+        for workload, spec in sorted(bench.WORKLOADS.items()):
+            loaded = load_experiment_config(str(bench.write_config(workload, bench.ACCEPTANCE_SEED, tmp_path)))
+            assert (loaded.topology, loaded.engine.total_cycles) == (spec["topology"], spec["engine"]["total_cycles"])
+
+    def test_traced_desk_run_fills_every_counter(self, monkeypatch):
+        spans = perfbench_module(monkeypatch, "spans")
+        config = quick_config(warmup_cycles=2, total_cycles=4, smc=SmcConfig(epsilon=0.05, alpha=0.1))
+        with spans.installed(spans.Tracer()) as tracer:
+            run_experiment(DESK, config, base_seed=20260816)
+        assert tracer.absent == []
+        for counter in ("smc.estimates", "smc.samples", "netsim.sim_runs", "seeds.draws", "regression.window"):
+            assert tracer.counts[counter] > 0, counter

@@ -26,7 +26,8 @@ from adaptlab.netsim import (
     link_delivery_prob,
     true_expected_loss,
 )
-from adaptlab.seeds import derive_seeds, stream_uint64
+from adaptlab.seeds import stream_uint64
+from helpers import seed_stream
 
 DESK = desk_topology()
 FULL = full_topology()
@@ -43,7 +44,13 @@ def one_hop_topology(rate=1):
     )
 
 
-def reference_loss(topology, env, option_id, delivery_override=None):
+def pinned(view, q):
+    """The view with the delivery probability of every slot set to q."""
+    view.qs = [(q,) * len(slot_qs) for slot_qs in view.qs]
+    return view
+
+
+def reference_loss(topology, env, option_id, pinned_q=None):
     """The oracle for one option as a plain loop over the topology's links:
     bit i of the id is mote i+1's power, then one bit per two-parent mote
     (1 picks its first-listed link); reach(mote) = q * reach(parent), parents
@@ -62,7 +69,7 @@ def reference_loss(topology, env, option_id, delivery_override=None):
             split_bit += 1
         link = mote.links[pick]
         power = (option_id >> (mote.mote_id - 1)) & 1
-        q = delivery_override
+        q = pinned_q
         if q is None:
             q = link_delivery_prob(link.base_snr, power, env.interference[link_index + pick])
         reach.append(q * reach[link.parent])
@@ -197,14 +204,14 @@ class TestLinkModel:
 class TestAnalyticOracle:
     def test_perfect_links_lose_nothing(self):
         env = initial_environment(DESK)
-        losses = true_expected_loss(NetworkView(DESK, env, delivery_override=1.0))
+        losses = true_expected_loss(pinned(NetworkView(DESK, env), 1.0))
         assert np.all(losses[:16] == 0.0)
 
     def test_one_hop_closed_form(self):
         topo = one_hop_topology(rate=1)
         env = initial_environment(topo)
         for q in (0.25, 0.5, 0.9):
-            got = true_expected_loss(NetworkView(topo, env, delivery_override=q))[0]
+            got = true_expected_loss(pinned(NetworkView(topo, env), q))[0]
             assert got == pytest.approx(100.0 * (1.0 - q), rel=1e-12)
 
     def test_zero_traffic_is_zero_loss(self):
@@ -255,21 +262,21 @@ class TestAnalyticOracle:
                 assert true_expected_loss(NetworkView(topo, env)).tolist() == expected
             for q in (0.0, 0.3, 1.0):
                 expected = [reference_loss(topo, walked[-1], i, q) for i in range(topo.option_count)]
-                assert true_expected_loss(NetworkView(topo, walked[-1], q)).tolist() == expected
+                assert true_expected_loss(pinned(NetworkView(topo, walked[-1]), q)).tolist() == expected
 
 
 class TestSimulation:
     def test_forced_delivery_extremes(self):
         env = initial_environment(DESK)
-        seeds = derive_seeds(5, 20)
-        assert np.all(simulate(NetworkView(DESK, env, delivery_override=1.0), 37, seeds) == 0.0)
-        assert np.all(simulate(NetworkView(DESK, env, delivery_override=0.0), 37, seeds) == 1.0)
+        seeds = seed_stream(5, 20)
+        assert np.all(simulate(pinned(NetworkView(DESK, env), 1.0), 37, seeds) == 0.0)
+        assert np.all(simulate(pinned(NetworkView(DESK, env), 0.0), 37, seeds) == 1.0)
 
     def test_outcomes_are_packet_fractions(self):
         """Every outcome is lost/generated for an integer count of lost packets."""
         env = initial_environment(DESK)
         generated = sum(max(0, round(m.rate * env.load[m.mote_id - 1])) for m in DESK.motes)
-        outcomes = simulate(NetworkView(DESK, env), 201, derive_seeds(3, 2000))
+        outcomes = simulate(NetworkView(DESK, env), 201, seed_stream(3, 2000))
         lost = outcomes * generated
         assert np.all((0.0 <= outcomes) & (outcomes <= 1.0))
         np.testing.assert_allclose(lost, np.round(lost), atol=1e-9)
@@ -281,7 +288,7 @@ class TestSimulation:
             view = NetworkView(topo, initial_environment(topo))
             model = NetworkModel(view, ids)
             rows = np.array([4, 0, 2, 5])
-            seeds = np.stack([derive_seeds(17 + int(row), 50) for row in rows])
+            seeds = np.stack([seed_stream(17 + int(row), 50) for row in rows])
             batch = model.simulate_batch(rows, seeds)
             for i, row in enumerate(rows):
                 alone = NetworkModel(view, [ids[row]])
@@ -302,7 +309,7 @@ class TestSimulation:
             env = environment_step(env, walk, 7000 + step)
         view = NetworkView(DESK, env)
         for oid in rng.integers(0, 256, size=3):
-            mc = 100.0 * float(simulate(view, int(oid), derive_seeds(int(oid), 50_000)).mean())
+            mc = 100.0 * float(simulate(view, int(oid), seed_stream(int(oid), 50_000)).mean())
             truth = true_expected_loss(view)[oid]
             assert abs(mc - truth) < 0.4  # ~5 sigma at this sample size
 
@@ -311,7 +318,7 @@ class TestSimulation:
         topo = one_hop_topology(rate=n)
         env = initial_environment(topo)
         for q in (0.3, 0.85):
-            lost = np.rint(simulate(NetworkView(topo, env, delivery_override=q), 0, derive_seeds(11, runs)) * n)
+            lost = np.rint(simulate(pinned(NetworkView(topo, env), q), 0, seed_stream(11, runs)) * n)
             lost = lost.astype(np.int64)
             assert_binomial_histogram(lost, n, 1.0 - q)
 
@@ -326,7 +333,7 @@ class TestSimulation:
             ),
         )
         env = initial_environment(topo)
-        outcomes = simulate(NetworkView(topo, env, delivery_override=q), 0, derive_seeds(12, runs))
+        outcomes = simulate(pinned(NetworkView(topo, env), q), 0, seed_stream(12, runs))
         delivered = n - np.rint(outcomes * n).astype(np.int64)
         assert_binomial_histogram(delivered, n, q * q)
 
@@ -341,9 +348,9 @@ class TestSimulation:
             ),
         )
         env = initial_environment(topo)
-        assert np.all(simulate(NetworkView(topo, env, delivery_override=1.0), 0, derive_seeds(8, 50)) == 0.0)
-        view = NetworkView(topo, env, delivery_override=0.8)
-        mc = 100.0 * float(simulate(view, 0, derive_seeds(9, 50_000)).mean())
+        assert np.all(simulate(pinned(NetworkView(topo, env), 1.0), 0, seed_stream(8, 50)) == 0.0)
+        view = pinned(NetworkView(topo, env), 0.8)
+        mc = 100.0 * float(simulate(view, 0, seed_stream(9, 50_000)).mean())
         assert abs(mc - true_expected_loss(view)[0]) < 0.6  # ~5 sigma at this sample size
 
     def test_one_draw_per_mote_and_run(self, monkeypatch):
@@ -357,7 +364,7 @@ class TestSimulation:
         monkeypatch.setattr(netsim, "stream_uint64", counting)
         env = initial_environment(DESK)
         model = NetworkModel(NetworkView(DESK, env), [201, 7, 64])
-        model.simulate_batch(np.array([0, 2]), np.stack([derive_seeds(4, 1000), derive_seeds(5, 1000)]))
+        model.simulate_batch(np.array([0, 2]), np.stack([seed_stream(4, 1000), seed_stream(5, 1000)]))
         assert sum(drawn) == 2 * 1000 * DESK.mote_count
 
     def test_rejects_counts_the_table_key_cannot_hold(self):
@@ -365,14 +372,12 @@ class TestSimulation:
         with pytest.raises(ValueError, match="packets"):
             NetworkModel(NetworkView(topo, initial_environment(topo)), [0])
         topo = one_hop_topology(rate=MAX_MOTE_PACKETS)
-        assert np.all(simulate(NetworkView(topo, initial_environment(topo), delivery_override=0.0), 0, derive_seeds(6, 20)) == 1.0)
-        with pytest.raises(ValueError, match="probability"):
-            NetworkView(topo, initial_environment(topo), delivery_override=1.5)
+        assert np.all(simulate(pinned(NetworkView(topo, initial_environment(topo)), 0.0), 0, seed_stream(6, 20)) == 1.0)
 
     def test_zero_traffic_runs_return_zero(self):
         topo = one_hop_topology(rate=1)
         env = Environment(interference=(2.0,), load=(0.01,))
-        assert np.array_equal(simulate(NetworkView(topo, env), 0, derive_seeds(0, 10)), np.zeros(10))
+        assert np.array_equal(simulate(NetworkView(topo, env), 0, seed_stream(0, 10)), np.zeros(10))
 
 
 class TestNetworkView:
@@ -387,7 +392,7 @@ class TestNetworkView:
                 env = environment_step(env, EnvironmentWalk(), 9100 + step)
             view = NetworkView(topo, env)
             ids = np.arange(topo.option_count)
-            seeds = np.broadcast_to(derive_seeds(31, runs), (topo.option_count, runs))
+            seeds = np.broadcast_to(seed_stream(31, runs), (topo.option_count, runs))
             together = NetworkModel(view, ids).simulate_batch(ids, seeds)
             for oid in ids.tolist():
                 assert np.array_equal(together[oid], simulate(view, oid, seeds[0])), (topo.option_count, oid)
@@ -454,7 +459,7 @@ class TestPinnedOutputs:
         load=(1.0, 1.0, 0.9, 1.0, 1.1, 1.1),
     )
     GENERATED = 21
-    # option id: (lost packets per seed of derive_seeds(2024, 8), oracle loss)
+    # option id: (lost packets per seed of seed_stream(2024, 8), oracle loss)
     EXPECTED = {
         45: ([2, 8, 6, 4, 5, 8, 4, 2], 20.109264008786788),
         83: ([4, 5, 4, 3, 4, 5, 1, 3], 17.20773609076225),
@@ -467,7 +472,7 @@ class TestPinnedOutputs:
         assert splits == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_simulated_lost_packets(self):
-        seeds = derive_seeds(2024, 8)
+        seeds = seed_stream(2024, 8)
         for oid, (lost, _) in self.EXPECTED.items():
             outcomes = simulate(NetworkView(DESK, self.ENV), oid, seeds)
             assert outcomes.tolist() == [k / self.GENERATED for k in lost], oid

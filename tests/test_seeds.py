@@ -6,16 +6,9 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from adaptlab.seeds import (
-    MASK64,
-    derive_seeds,
-    hash01,
-    mix64,
-    splitmix64,
-    splitmix64_array,
-    stream_uint64,
-)
+from adaptlab.seeds import MASK64, hash01, mix64, splitmix64, stream_uint64
 from adaptlab.smc import BernoulliModel
+from helpers import seed_stream
 
 uint64s = st.integers(min_value=0, max_value=MASK64)
 
@@ -46,12 +39,6 @@ class TestSplitmix64:
             flips.append(bin(diff).count("1"))
         assert 24 <= np.mean(flips) <= 40  # ~32 expected for a good mixer
 
-    def test_vectorized_matches_scalar(self):
-        values = np.array([0, 1, 42, MASK64, 2**63, 123456789], dtype=np.uint64)
-        vec = splitmix64_array(values)
-        for v, out in zip(values, vec):
-            assert int(out) == splitmix64(int(v))
-
 
 class TestMix64:
     def test_order_sensitive(self):
@@ -70,24 +57,27 @@ class TestMix64:
         assert int(got) == mix64(seed, index)
 
     def test_scalar_and_0d_seeds_match_mix64_without_warnings(self):
+        boundary = (0, 1, 7, 42, 123456789, 2**63, 2**63 + 5, MASK64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # uint64 wrap-around must not warn
-            for seed, index in ((MASK64, MASK64), (2**63 + 5, 7)):
-                assert int(stream_uint64(np.uint64(seed), np.uint64(index))) == mix64(seed, index)
-                assert int(stream_uint64(np.array(seed, dtype=np.uint64), index)) == mix64(seed, index)
-                assert int(splitmix64_array(np.array(seed, dtype=np.uint64))) == splitmix64(seed)
+            for seed in boundary:
+                for index in boundary:
+                    assert int(stream_uint64(np.uint64(seed), np.uint64(index))) == mix64(seed, index)
+                    assert int(stream_uint64(np.array(seed, dtype=np.uint64), index)) == mix64(seed, index)
+            values = np.array(boundary, dtype=np.uint64)
+            grid = stream_uint64(values[:, None], values)
+            assert grid.tolist() == [[mix64(seed, index) for index in boundary] for seed in boundary]
 
     def test_inputs_are_never_written(self):
-        seeds = derive_seeds(11, 50).reshape(5, 10)
+        seeds = seed_stream(11, 50).reshape(5, 10)
         indices = np.arange(10, dtype=np.uint64)
         before = seeds.copy(), indices.copy()
-        splitmix64_array(seeds)
         stream_uint64(seeds, indices)
         stream_uint64(seeds[:, :1], indices)
         assert np.array_equal(seeds, before[0]) and np.array_equal(indices, before[1])
 
     def test_one_call_over_stacked_ids_equals_one_call_per_id(self):
-        seeds = derive_seeds(12, 24).reshape(3, 8)
+        seeds = seed_stream(12, 24).reshape(3, 8)
         ids = np.array([6, 1, 4, 2**63], dtype=np.uint64)
         stacked = stream_uint64(seeds, ids.reshape(-1, 1, 1))
         assert stacked.shape == (len(ids),) + seeds.shape
@@ -106,11 +96,11 @@ class TestMix64:
 
 class TestDerivedSeeds:
     def test_matches_mix64(self):
-        seeds = derive_seeds(99, 10)
+        seeds = seed_stream(99, 10)
         assert [int(s) for s in seeds] == [mix64(99, i) for i in range(10)]
 
     def test_distinct_within_stream(self):
-        seeds = derive_seeds(0, 100_000)
+        seeds = seed_stream(0, 100_000)
         assert len(np.unique(seeds)) == 100_000
 
     def test_hash01_range(self):
@@ -124,7 +114,7 @@ class TestBernoulli:
 
     def test_threshold_monotone(self):
         # The hit count grows with p, from no hits at p 0 to every run at p 1.
-        seeds = derive_seeds(7, 5000)
+        seeds = seed_stream(7, 5000)
         counts = [BernoulliModel(p).simulate_batch([0], seeds[None, :]).sum() for p in (0.0, 0.1, 0.25, 0.5, 0.9, 1.0)]
         assert counts == sorted(counts)
         assert counts[0] == 0
@@ -132,7 +122,7 @@ class TestBernoulli:
 
     def test_same_draws_nested_probabilities(self):
         # A run that hits at p hits at every larger p on the same seed.
-        seeds = derive_seeds(9, 10_000)
+        seeds = seed_stream(9, 10_000)
         ladder = [BernoulliModel(p).simulate_batch([0], seeds[None, :]) for p in (0.0, 0.1, 0.3, 0.6, 0.9, 1.0)]
         for low, high in zip(ladder, ladder[1:]):
             assert not ((low == 1.0) & (high == 0.0)).any()

@@ -7,7 +7,7 @@ import pytest
 
 from adaptlab import smc
 from adaptlab.netsim import EnvironmentWalk, NetworkModel, NetworkView, desk_topology, environment_step, initial_environment
-from adaptlab.seeds import derive_seeds, mix64
+from adaptlab.seeds import mix64
 from adaptlab.smc import (
     BernoulliModel,
     SmcConfig,
@@ -16,6 +16,7 @@ from adaptlab.smc import (
     required_samples,
     verify_options,
 )
+from helpers import seed_stream
 
 
 class ConstantModel:
@@ -77,7 +78,7 @@ def reference_estimate(model, config, base_seed):
     n = min(cap, math.ceil(1.5 * math.log(4 / config.alpha) / math.log1p(eps / 2)))
     target = math.log(2 / level)
     while True:
-        xs = simulate(model, derive_seeds(base_seed, n)).tolist()
+        xs = simulate(model, seed_stream(base_seed, n)).tolist()
         center = math.fsum(xs) / n
         if n == cap:
             return center, n
@@ -100,7 +101,7 @@ def reference_estimate(model, config, base_seed):
 
 class TestBernoulliModel:
     def test_endpoints_exact(self):
-        seeds = derive_seeds(5, 1000)
+        seeds = seed_stream(5, 1000)
         np.testing.assert_array_equal(simulate(BernoulliModel(0.0), seeds), np.zeros(1000))
         np.testing.assert_array_equal(simulate(BernoulliModel(1.0), seeds), np.ones(1000))
         for p in (-0.1, 1.1, float("nan")):
@@ -108,7 +109,7 @@ class TestBernoulliModel:
                 BernoulliModel(p)
 
     def test_empirical_rate_close(self):
-        seeds = derive_seeds(123, 200_000)
+        seeds = seed_stream(123, 200_000)
         for p in (0.05, 0.5, 0.87):
             assert abs(simulate(BernoulliModel(p), seeds).mean() - p) < 0.005
 
@@ -198,7 +199,7 @@ class TestSequentialStopping:
     def test_matches_reference_loop(self):
         config = SmcConfig(epsilon=0.02, alpha=0.1)
         stops = set()
-        for p in (0.0, 0.02, 0.1, 0.3):
+        for p in (0.0, 0.02, 0.1, 0.3, 0.98, 1.0):
             for seed in range(6):
                 est = one_estimate(BernoulliModel(p), config, seed)
                 center, runs = reference_estimate(BernoulliModel(p), config, mix64(seed, 0))
@@ -251,7 +252,7 @@ class TestVerifyOptions:
 
     def test_outcome_outside_unit_interval_names_option_and_run(self):
         config = SmcConfig(epsilon=0.1, alpha=0.1)
-        bad_seed = int(derive_seeds(mix64(8, 42), 4)[3])
+        bad_seed = int(seed_stream(mix64(8, 42), 4)[3])
 
         class OneBadRun:
             def simulate_batch(self, rows, seeds):
