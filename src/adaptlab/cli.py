@@ -71,6 +71,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         raise ValueError("--cutoff must not lie below --b-hat-w, the minimum prediction")
     if args.n < 1:
         raise ValueError("--n must be at least 1: the best-predicted option is always feasible")
+    for flag, count in (("--m", args.m), ("--n", args.n)):  # --d stays below --m
+        if abs(count) > sys.float_info.max:
+            raise ValueError(f"{flag} is too large: the bound needs it as a float")
     domain = QualityDomain(lower=args.l_q, upper=args.u_q)
     inputs = RiskBoundInputs(
         m=args.m,

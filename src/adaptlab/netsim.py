@@ -28,9 +28,11 @@ mote's link and power under every option as ``2 * link + power``:
   link, drawn by inverse CDF from one uniform per (seed, mote), children
   before parents, on inverse-CDF tables the model builds for all its slots
   in one call (``binomial_keys``; row k of a table starts at key
-  k (k + 1) / 2 and ends with the key of probability 1). One draw call per
-  batch gives every mote its uniforms. Each draw is addressed by (seed, mote
-  id), so a batch of runs over many options is bit-identical to the same
+  k (k + 1) / 2 and ends with the key of probability 1); large batches read
+  most counts off a guide per table (Chen and Asau's indexed search, 1974)
+  and search only where it holds a sentinel. One draw call per batch gives
+  every mote its uniforms. Each draw is addressed by (seed, mote id), so a
+  batch of runs over many options is bit-identical to the same
   runs executed one by one (as batches of one) - which is what makes SMC
   estimates over this model reproducible.
 
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -291,6 +294,7 @@ MAX_MOTE_PACKETS = (1 << (64 - _KEY_SHIFT)) - 2
 # The delivered count at each table position: a search within row k lands
 # at the row's start, k (k + 1) / 2, plus the count.
 _COUNTS = np.concatenate([np.arange(k + 1, dtype=np.uint8) for k in range(MAX_MOTE_PACKETS + 1)])
+_GUIDE_SHIFT, _MISS, _GUIDED_RUNS = _KEY_SHIFT - 10, MAX_MOTE_PACKETS + 1, 1 << 15  # see binomial_guides, NetworkModel
 
 
 def binomial_keys(qs: Sequence[float], cap: int) -> np.ndarray:
@@ -305,8 +309,8 @@ def binomial_keys(qs: Sequence[float], cap: int) -> np.ndarray:
     at u. Every smaller k's keys lie at or below k << 56, and row k's last
     key and every larger k's above (k << 56) + u, so
     ``_COUNTS[searchsorted(table, (k << 56) + u, side="right")]`` is that
-    count. The keys of k up to c are the table's first (c + 1) (c + 2) / 2,
-    whatever cap is, so a table may be cut there.
+    count (``binomial_guides`` reads most without the search). The keys of
+    k up to c are the table's first (c + 1) (c + 2) / 2, whatever cap is.
 
     The keys come from Pascal's rule F_k(j) = q F_{k-1}(j-1) + (1-q) F_{k-1}(j),
     with F_{k-1}(-1) = 0 and F_{k-1}(j) = 1 for j >= k-1, one step for every
@@ -328,6 +332,29 @@ def binomial_keys(qs: Sequence[float], cap: int) -> np.ndarray:
     return (rows << np.uint64(_KEY_SHIFT)) + np.floor(np.hstack(fractions) * 2.0**_KEY_SHIFT).astype(np.uint64)
 
 
+def binomial_guides(keys: np.ndarray, cap: int) -> np.ndarray:
+    """Row i maps each bucket key >> 46 (k << 10 plus u's top 10 bits) of
+    table keys[i] = binomial_keys(qs, cap)[i] to the count the search finds
+    for every key in it, or to ``_MISS``, above every count, where a table
+    key lies strictly inside it. One ``repeat`` builds all rows: position
+    p's count fills the buckets from key p - 1's up to key p's."""
+    width = (cap + 1) << 10
+    buckets = (keys >> np.uint64(_GUIDE_SHIFT)).astype(np.intp) + np.arange(len(keys))[:, None] * width
+    guides = np.repeat(np.tile(_COUNTS[: keys.shape[1]], len(keys)), np.diff(buckets.ravel(), prepend=0))
+    guides[buckets[keys & np.uint64((1 << _GUIDE_SHIFT) - 1) != 0]] = _MISS
+    return guides.reshape(len(keys), width)
+
+
+def delivered_counts(table: np.ndarray, guide: np.ndarray | None, keys: np.ndarray) -> np.ndarray:
+    """``_COUNTS[searchsorted(table, keys, side="right")]``, read off ``guide`` where given and not ``_MISS``."""
+    if guide is None:
+        return _COUNTS[np.searchsorted(table, keys, side="right")]
+    counts = guide[(keys >> np.uint64(_GUIDE_SHIFT)).astype(np.intp)]
+    misses = np.nonzero(counts == _MISS)
+    counts[misses] = _COUNTS[np.searchsorted(table, keys[misses], side="right")]
+    return counts
+
+
 class NetworkModel:
     """Options of one network view as a stochastic model, row i for
     option_ids[i].
@@ -340,9 +367,11 @@ class NetworkModel:
     inverse CDF from one uniform per mote, ``stream_uint64(s, mote_id)``,
     drawn for every mote in one call per batch, and processes children
     before parents. Per mote, the options are grouped by slot, and each
-    group's runs are looked up in one ``searchsorted`` on the slot's
-    ``binomial_keys``, which hold every k the mote can hold under any of the
-    group's options; ``_COUNTS`` turns the position found into the count.
+    group's runs are looked up by ``delivered_counts`` in the slot's
+    ``binomial_keys``: off its guide (all built on first use) once the
+    model's rows times a batch's runs per row reach ``_GUIDED_RUNS``, else
+    by the search, with equal counts; a model serving fewer runs does not
+    pay back its guides.
     So an outcome depends only on its option and seed: a batch over many
     rows and seeds is bit-identical to batches of one row and one seed each.
     """
@@ -351,15 +380,15 @@ class NetworkModel:
         slots = view.slots(option_ids)
         generated = view.generated
         self._total_generated = sum(generated)
-        self._mote_count = len(generated)
+        self._mote_count, self._row_count = len(generated), slots.shape[1]
 
         # Plan rows, children before parents (parent ids are smaller by
         # construction): (mote_id, generated, slots, groups), where slots[i]
-        # is option i's slot at the mote and groups lists (slot, parent, keys)
-        # of the slots that carry packets, keys being the slot's table cut
-        # after k = caps[slot]. held[i] is the most packets the mote holds in
-        # one run of option i, inbound[m][i] the most its children pass mote
-        # m, and caps[s] the most it holds in slot s.
+        # is option i's slot at the mote and groups lists (slot, parent,
+        # index, caps[slot]) of the slots that carry packets, index being
+        # that of the slot's table and guide. held[i] is the most packets the
+        # mote holds in one run of option i, inbound[m][i] the most its
+        # children pass mote m, and caps[s] the most it holds in slot s.
         inbound = np.zeros((len(generated) + 1, slots.shape[1]), dtype=np.int64)
         options = np.arange(slots.shape[1])
         plan, qs, top = [], [], 0
@@ -370,17 +399,18 @@ class NetworkModel:
             caps = np.where(row == np.arange(2 * len(parents))[:, None], held, 0).max(axis=1, initial=0).tolist()
             if max(caps) > MAX_MOTE_PACKETS:
                 raise ValueError(f"mote {mote_id} may hold {max(caps)} packets in one run, above {MAX_MOTE_PACKETS}")
-            groups = [(slot, parents[slot >> 1], cap) for slot, cap in enumerate(caps) if cap > 0]
-            qs += [view.qs[mote_id - 1][slot] for slot, _, _ in groups]
+            carrying = np.flatnonzero(caps).tolist()
+            groups = [(slot, parents[slot >> 1], len(qs) + i, caps[slot]) for i, slot in enumerate(carrying)]
+            qs += [view.qs[mote_id - 1][slot] for slot in carrying]
             top = max([top] + caps)
             if groups:
                 plan.append((mote_id, own, row, groups))
-        keys = iter(binomial_keys(qs, top))
-        self._plan = [
-            (mote_id, own, row, [(slot, parent, next(keys)[: (cap + 1) * (cap + 2) // 2]) for slot, parent, cap in groups])
-            for mote_id, own, row, groups in plan
-        ]
+        self._plan, self._keys, self._top = plan, binomial_keys(qs, top), top
         self._mote_ids = np.array([mote_id for mote_id, _, _, _ in plan], dtype=np.uint64)
+
+    @cached_property
+    def _guides(self) -> np.ndarray:
+        return binomial_guides(self._keys, self._top)
 
     def simulate_batch(self, rows: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.intp)
@@ -392,14 +422,16 @@ class NetworkModel:
         uniforms = stream_uint64(seeds, self._mote_ids.reshape((-1,) + (1,) * seeds.ndim))
         np.right_shift(uniforms, np.uint64(64 - _KEY_SHIFT), out=uniforms)
         arrivals = np.zeros((self._mote_count + 1,) + seeds.shape, dtype=np.uint64)
-        shift = np.uint64(_KEY_SHIFT)
+        guides = self._guides if self._row_count * seeds.shape[-1] >= _GUIDED_RUNS else [None] * len(self._keys)
+        shift, tables = np.uint64(_KEY_SHIFT), self._keys
         for (mote_id, generated, slots, groups), mote_uniforms in zip(self._plan, uniforms):
             keys = ((arrivals[mote_id] + generated) << shift) | mote_uniforms
             active = slots[rows]
-            for slot, parent, table in groups:
+            for slot, parent, index, cap in groups:
                 members = np.flatnonzero(active == slot)
                 if len(members):
-                    arrivals[parent, members] += _COUNTS[np.searchsorted(table, keys[members], side="right")]
+                    table = tables[index, : (cap + 1) * (cap + 2) // 2]  # a search needs only k up to cap
+                    arrivals[parent, members] += delivered_counts(table, guides[index], keys[members])
         lost = total - arrivals[0]
         return lost.astype(np.float64) / total
 

@@ -99,7 +99,10 @@ def required_samples(epsilon: float, alpha: float) -> int:
         raise ValueError("epsilon must lie in (0, 1)")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    return math.ceil(math.log(2.0 / alpha) / (2.0 * epsilon * epsilon))
+    try:
+        return math.ceil(math.log(2.0 / alpha) / (2.0 * epsilon * epsilon))
+    except (ZeroDivisionError, OverflowError):  # epsilon squared underflows, or the count is not finite
+        raise ValueError(f"epsilon {epsilon!r} is too small: the Hoeffding run count overflows") from None
 
 
 # WSR's c: no bet stakes more than this fraction of the capital.
@@ -126,9 +129,11 @@ def _intervals_fit(outcomes: np.ndarray, centers: np.ndarray, epsilon: float, le
     prod(1 - l- (x - m)), is non-decreasing, so rejecting the two edge
     points center -/+ epsilon rejects both tails. A point is rejected when
     half its capital reaches 1/level; an edge outside (0, 1) has no tail
-    left to reject. Every operation works along a row (``cumsum`` is
-    sequential and each row's log-capital is summed on its own), so a row's
-    answer does not depend on the rows beside it.
+    left to reject. Eq. 26's truncation at ``_BET_CAP`` over the edge's room
+    is left out: bets are at most ``_BET_CAP`` and tested rooms lie in
+    (0, 1). Every operation works along a row (``cumsum`` is sequential and
+    each row's log-capital is summed on its own), so a row's answer does not
+    depend on the rows beside it.
     """
     t = np.arange(1, outcomes.shape[1] + 1, dtype=np.float64)
     means = (0.5 + np.cumsum(outcomes, axis=1)) / (t + 1.0)
@@ -146,7 +151,7 @@ def _intervals_fit(outcomes: np.ndarray, centers: np.ndarray, epsilon: float, le
             rows = slice(None) if len(rows) == len(fits) else rows  # all rows: views, not copies
             edge = edges[rows, None]
             gains = outcomes[rows] - edge if up else edge - outcomes[rows]
-            capital = np.log1p(np.minimum(bets[rows], _BET_CAP / room[rows, None]) * gains).sum(axis=1)
+            capital = np.log1p(bets[rows] * gains).sum(axis=1)
             fits[rows] &= capital >= log_target
     return fits
 

@@ -98,6 +98,13 @@ class TestBoundsCommand:
             assert captured.out == ""
             assert captured.err.startswith("error: ")
 
+    def test_count_too_large_for_a_float_names_its_flag(self, capsys):
+        for flag in ("--m", "--n"):
+            args = list(self.FLAGS)
+            args[args.index(flag) + 1] = str(10**400)
+            assert main(args) == 2, flag
+            assert f"error: {flag} is too large" in capsys.readouterr().err
+
     def test_non_finite_bound_is_usage_error(self, capsys):
         for extra in (["--u-q", "1e200"], ["--kappa-scale", "1e308", "--epsilon", "0.5"]):
             assert main(self.FLAGS + extra) == 2, extra
@@ -396,6 +403,13 @@ class TestSelftestCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_epsilon_whose_run_count_overflows_is_named(self, capsys):
+        # 1e-300 squared underflows to 0; 1e-160 squared does not, but the
+        # Hoeffding count it gives is infinite
+        for epsilon in ("1e-300", "1e-160"):
+            assert main(["smc-selftest", "--epsilon", epsilon, "--repetitions", "1"]) == 2, epsilon
+            assert f"error: epsilon {float(epsilon)!r} is too small" in capsys.readouterr().err
 
     def test_bad_mean_is_usage_error(self, capsys):
         assert main(["smc-selftest", "--mean", "1.5", "--repetitions", "10"]) == 2

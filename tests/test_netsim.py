@@ -384,8 +384,9 @@ class TestNetworkView:
     def test_one_model_of_all_options_equals_one_model_per_option(self):
         # The model of every option builds each slot's table up to the most
         # packets any option's mote holds in it; a model of one option, only
-        # up to what that option's motes hold. Fewer runs on full keep the
-        # all-options batch small.
+        # up to what that option's motes hold. The all-options batch reads
+        # its counts off the guides, each option's alone searches its tables.
+        # Fewer runs on full keep the all-options batch small.
         for topo, runs in ((DESK, 400), (FULL, 50)):
             env = initial_environment(topo)
             for step in range(5):
@@ -427,6 +428,35 @@ class TestNetworkView:
                 for u in sorted(probes):
                     found = np.searchsorted(table, np.uint64((k << 56) + u), side="right")
                     assert netsim._COUNTS[found] == sum(t <= u for t in thresholds), (q, k, u)
+
+    def test_guided_lookup_equals_the_search_at_every_bucket_edge_and_threshold(self):
+        # delivered_counts reads a count off the table's guide where no
+        # threshold lies strictly inside the bucket of key >> 46, and searches
+        # where the guide holds _MISS; both must find what the search finds:
+        # at each bucket's first and last u, at each threshold and one below
+        # it, for every k.
+        cap = 12
+        qs = (0.0, 0.005, 0.37, 0.5, 0.8, 0.995, 1.0)  # q = 0.005: F_12(11) rounds to 1
+        tables = netsim.binomial_keys(qs, cap)
+        edges = {b << 46 for b in range(1024)} | {((b + 1) << 46) - 1 for b in range(1024)}
+        paths = np.zeros(2, dtype=np.int64)  # lookups read off the guide, lookups searched
+        for q, table, guide in zip(qs, tables, netsim.binomial_guides(tables, cap)):
+            for k in range(cap + 1):
+                start = k * (k + 1) // 2
+                thresholds = [int(key) - (k << 56) for key in table[start : start + k]]
+                probes = edges | {t for t in thresholds if t < 1 << 56}
+                probes |= {t - 1 for t in thresholds if 0 < t <= 1 << 56}
+                keys = np.uint64(k << 56) + np.array(sorted(probes), dtype=np.uint64)
+                searched = netsim._COUNTS[np.searchsorted(table, keys, side="right")]
+                assert np.array_equal(netsim.delivered_counts(table, guide, keys), searched), (q, k)
+                assert np.array_equal(netsim.delivered_counts(table, None, keys), searched), (q, k)
+                paths += np.bincount(guide[(keys >> np.uint64(46)).astype(np.intp)] == netsim._MISS, minlength=2)
+        assert paths.all()
+
+    def test_zero_traffic_model_has_no_tables(self):
+        topo = one_hop_topology(rate=1)
+        model = NetworkModel(NetworkView(topo, Environment(interference=(2.0,), load=(0.01,))), [0])
+        assert model._plan == [] and model._guides.shape == (0, 1024)
 
     def test_warmup_cycle_peak_allocation_is_bounded(self):
         # One model serves the whole warm-up cycle, and the verifier bounds
