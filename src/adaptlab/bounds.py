@@ -62,10 +62,8 @@ class QualityDomain:
     upper: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise ValueError("quality domain bounds must be finite")
-        if not self.lower < self.upper:
-            raise ValueError(f"quality domain requires lower < upper, got [{self.lower}, {self.upper}]")
+        if not (self.lower < self.upper and math.isfinite(self.width)):
+            raise ValueError(f"quality domain needs lower < upper and a finite width, got [{self.lower}, {self.upper}]")
 
     @property
     def width(self) -> float:

@@ -12,7 +12,8 @@ Three subcommands:
 Every command is deterministic given its flags/config/seed. Numbers are
 serialized with 12 significant digits. Exit codes: 0 success, 1 statistical
 self-test failure, 2 usage or validation error, including an input that
-makes the arithmetic overflow or a bound that is not finite.
+makes the arithmetic overflow, a bound that is not finite, or a run that
+needs more memory than is available.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         vc_dim=args.d,
         eta=args.eta,
         empirical_risk=args.empirical_risk,
-        kappa=SmcConfig(args.epsilon, args.alpha, args.kappa_scale).kappa,
+        kappa=SmcConfig(args.epsilon, args.alpha, kappa_scale=domain.width).kappa,  # epsilon x width, as in run
         alpha=args.alpha,
     )
     bound = decision_error_bound(inputs, domain, args.cutoff, args.b_hat_w, args.n)
@@ -281,7 +282,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_smc_selftest(args: argparse.Namespace) -> int:
     if not 0 <= args.seed < 2**64:
         raise ValueError("--seed must be an integer in [0, 2^64)")
-    config = SmcConfig(epsilon=args.epsilon, alpha=args.alpha, kappa_scale=args.kappa_scale)
+    config = SmcConfig(epsilon=args.epsilon, alpha=args.alpha)
     report = coverage_experiment(args.mean, config, args.repetitions, args.seed)
     print(json.dumps(_sig_floats(report), indent=2))
     return 0 if report["passed"] else 1
@@ -306,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--epsilon", type=float, default=SmcConfig.epsilon,
                         help="SMC approximation half-width (default %(default)s)")
     bounds.add_argument("--alpha", type=float, default=SmcConfig.alpha, help="SMC significance (default %(default)s)")
-    bounds.add_argument("--kappa-scale", type=float, default=SmcConfig.kappa_scale,
-                        help="quality units per unit epsilon (default %(default)s)")
     bounds.add_argument("--l-q", type=float, default=LOSS_DOMAIN.lower,
                         help="quality domain lower bound (default %(default)s)")
     bounds.add_argument("--u-q", type=float, default=LOSS_DOMAIN.upper,
@@ -325,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     selftest = sub.add_parser("smc-selftest", help="coverage experiment against a known-mean model")
     selftest.add_argument("--epsilon", type=float, default=0.02, help="approximation half-width (default 0.02)")
     selftest.add_argument("--alpha", type=float, default=0.05, help="significance (default 0.05)")
-    selftest.add_argument("--kappa-scale", type=float, default=SmcConfig.kappa_scale,
-                          help="quality scaling (default %(default)s)")
     selftest.add_argument("--mean", type=float, default=0.5, help="true mean of the test model (default 0.5)")
     selftest.add_argument("--repetitions", type=int, default=500, help="independent estimates to run (default 500)")
     selftest.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
@@ -342,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: the run needs more memory than is available (a smaller epsilon asks for more runs)", file=sys.stderr)
         return 2
 
 

@@ -128,37 +128,24 @@ class NetworkTopology:
         return 2 ** (self.mote_count + len(self.split_motes))
 
 
-# Every link's interference and every mote's load at cycle 0.
+# Every link's interference and every mote's load at cycle 0, and the walk's clamps.
 INITIAL_INTERFERENCE = 2.0
 INITIAL_LOAD = 1.0
+INTERFERENCE_MIN, INTERFERENCE_MAX = 0.0, 6.0
+LOAD_MIN, LOAD_MAX = 0.5, 2.0
 
 
 @dataclass(frozen=True)
 class EnvironmentWalk:
-    """Step sizes and clamps of the environment's random walk."""
+    """Step sizes of the environment's random walk; its ranges are fixed."""
 
     interference_step: float = 0.5
     load_step: float = 0.1
-    interference_min: float = 0.0
-    interference_max: float = 6.0
-    load_min: float = 0.5
-    load_max: float = 2.0
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise ValueError(f"walk {name} must be finite, got {value}")
-        if self.interference_step < 0.0 or self.load_step < 0.0:
-            raise ValueError("walk steps must be nonnegative")
-        if self.interference_min > self.interference_max:
-            raise ValueError("walk interference_min exceeds interference_max")
-        if self.load_min > self.load_max:
-            raise ValueError("walk load_min exceeds load_max")
-        # the walk starts from the initial environment, so its range must hold it
-        if not self.interference_min <= INITIAL_INTERFERENCE <= self.interference_max:
-            raise ValueError(f"walk interference range must contain the initial {INITIAL_INTERFERENCE}")
-        if not self.load_min <= INITIAL_LOAD <= self.load_max:
-            raise ValueError(f"walk load range must contain the initial {INITIAL_LOAD}")
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"walk {name} must be finite and nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -177,15 +164,15 @@ def initial_environment(topology: NetworkTopology) -> Environment:
 
 
 def environment_step(env: Environment, walk: EnvironmentWalk, seed: int) -> Environment:
-    """Advance the bounded random walk by one cycle, deterministically per seed."""
+    """Advance the random walk by one cycle within its fixed ranges, deterministically per seed."""
     base = mix64(seed)
     interference = tuple(
-        min(walk.interference_max, max(walk.interference_min,
+        min(INTERFERENCE_MAX, max(INTERFERENCE_MIN,
             value + (2.0 * hash01(base, 1, i) - 1.0) * walk.interference_step))
         for i, value in enumerate(env.interference)
     )
     load = tuple(
-        min(walk.load_max, max(walk.load_min,
+        min(LOAD_MAX, max(LOAD_MIN,
             value + (2.0 * hash01(base, 2, j) - 1.0) * walk.load_step))
         for j, value in enumerate(env.load)
     )

@@ -277,6 +277,8 @@ class TestDomain:
             QualityDomain(lower=5.0, upper=1.0)
         with pytest.raises(ValueError):
             QualityDomain(lower=0.0, upper=math.inf)
+        with pytest.raises(ValueError, match="finite width"):
+            QualityDomain(lower=-1e308, upper=1e308)  # finite bounds, but the width overflows
 
 
 class TestComposition:

@@ -77,8 +77,7 @@ class TestBoundsCommand:
             ("--cutoff", "inf"),
             ("--cutoff", "5"),  # below --b-hat-w 8.9
             ("--b-hat-w", "nan"),
-            ("--kappa-scale", "inf"),
-            ("--kappa-scale", "nan"),
+            ("--u-q", "nan"),
             ("--epsilon", "1.5"),
             ("--epsilon", "nan"),
             ("--n", "0"),
@@ -88,6 +87,9 @@ class TestBoundsCommand:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: ")
+        # finite bounds whose width, and so kappa, overflows
+        assert main(self.FLAGS + ["--l-q=-1e308", "--u-q", "1e308"]) == 2
+        assert "finite width" in capsys.readouterr().err
 
     def test_overflowing_counts_are_usage_errors(self, capsys):
         for flag in ("--m", "--n"):
@@ -106,16 +108,15 @@ class TestBoundsCommand:
             assert f"error: {flag} is too large" in capsys.readouterr().err
 
     def test_non_finite_bound_is_usage_error(self, capsys):
-        for extra in (["--u-q", "1e200"], ["--kappa-scale", "1e308", "--epsilon", "0.5"]):
-            assert main(self.FLAGS + extra) == 2, extra
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("error: the bound is not finite")
+        assert main(self.FLAGS + ["--u-q", "1e200"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the bound is not finite")
 
     def test_every_flag_is_honoured(self, capsys):
         rc = main([
             "bounds", "--m", "5000", "--d", "10", "--eta", "0.02",
-            "--epsilon", "0.05", "--alpha", "0.2", "--kappa-scale", "10",
+            "--epsilon", "0.05", "--alpha", "0.2",
             "--l-q", "0", "--u-q", "1",
             "--empirical-risk", "0.25", "--cutoff", "0.9", "--b-hat-w", "0.4",
             "--n", "12",
@@ -124,10 +125,25 @@ class TestBoundsCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["cutoff"] == 0.9
         assert payload["best_prediction"] == 0.4
-        # kappa = kappa_scale * epsilon shifts the error bound additively
+        # kappa = epsilon * (u_q - l_q) = 0.05 * 1 shifts the error bound additively
         assert payload["error_bound"] == pytest.approx(
-            math.sqrt(payload["expected_risk_upper"]) + 0.5, rel=1e-11
+            math.sqrt(payload["expected_risk_upper"]) + 0.05, rel=1e-11
         )
+
+    def test_kappa_is_epsilon_times_the_domain_width(self, capsys):
+        for u_q, kappa in (("100", 1.0), ("50", 0.5)):
+            assert main(self.FLAGS + ["--epsilon", "0.01", "--u-q", u_q]) == 0, u_q
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["error_bound"] - math.sqrt(payload["expected_risk_upper"]) == pytest.approx(kappa, rel=1e-9)
+
+    def test_kappa_scale_flag_is_gone(self, capsys):
+        for args in (self.FLAGS, ["smc-selftest", "--repetitions", "1"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(args + ["--kappa-scale", "10"])
+            assert exit_info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "unrecognized arguments: --kappa-scale" in captured.err
 
 
 class TestRunCommand:
@@ -214,7 +230,7 @@ class TestRunCommand:
             ("engine", "warmup_cycles", 2.0),
             ("engine", "evaluation_mode", 1),
             ("walk", "interference_step", "0.5"),
-            ("walk", "load_max", math.inf),
+            ("walk", "load_step", math.inf),
         ):
             config_path, _ = write_config(tmp_path, **{section: {key: bad}})
             assert main(["run", str(config_path)]) == 2
@@ -265,14 +281,15 @@ class TestRunCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out.csv"]
 
     def test_rejects_invalid_walk(self, tmp_path, capsys):
-        for walk in (
-            {"interference_min": 5.0, "interference_max": 1.0},
-            {"load_step": -0.1},
-            {"load_min": 0.05, "load_max": 0.1},  # excludes the initial load 1.0
+        for walk, message in (
+            ({"load_step": -0.1}, "walk load_step must be finite and nonnegative"),
+            ({"load_min": 0.5}, "unknown walk keys: load_min"),  # the ranges are fixed
         ):
             config_path, _ = write_config(tmp_path, walk=walk)
             assert main(["run", str(config_path)]) == 2
-            assert "walk" in capsys.readouterr().err
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
 
     def test_failed_write_leaves_no_partial_output(self, tmp_path, capsys):
         config_path, _ = write_config(
@@ -410,6 +427,18 @@ class TestSelftestCommand:
         for epsilon in ("1e-300", "1e-160"):
             assert main(["smc-selftest", "--epsilon", epsilon, "--repetitions", "1"]) == 2, epsilon
             assert f"error: epsilon {float(epsilon)!r} is too small" in capsys.readouterr().err
+
+    def test_run_that_needs_more_memory_than_is_available_is_usage_error(self, capsys, monkeypatch):
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 9.79 GiB")
+
+        monkeypatch.setattr(cli, "coverage_experiment", too_large)
+        assert main(["smc-selftest", "--epsilon", "1e-8", "--repetitions", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the run needs more memory than is available (a smaller epsilon asks for more runs)\n"
+        )
 
     def test_bad_mean_is_usage_error(self, capsys):
         assert main(["smc-selftest", "--mean", "1.5", "--repetitions", "10"]) == 2

@@ -527,28 +527,26 @@ class TestEnvironment:
 
     def test_walk_rejects_invalid_values(self):
         for overrides in (
-            dict(interference_min=5.0, interference_max=1.0),
-            dict(load_min=2.5),
             dict(load_step=-0.1),
             dict(interference_step=-1.0),
-            dict(load_max=math.nan),
-            dict(interference_max=math.inf),
-            dict(load_min=0.05, load_max=0.1),  # cycle 1 runs at INITIAL_LOAD 1.0
-            dict(load_min=1.5),
-            dict(interference_min=2.5),
-            dict(interference_max=1.0),
+            dict(load_step=math.nan),
+            dict(interference_step=math.inf),
         ):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="must be finite and nonnegative"):
                 EnvironmentWalk(**overrides)
-        assert EnvironmentWalk(load_min=1.0, load_max=1.0, load_step=0.0).load_min == 1.0
+
+    def test_ranges_hold_the_initial_environment(self):
+        # cycle 1 runs at the initial environment, so the walk's clamps must hold it
+        assert netsim.INTERFERENCE_MIN <= netsim.INITIAL_INTERFERENCE <= netsim.INTERFERENCE_MAX
+        assert netsim.LOAD_MIN <= netsim.INITIAL_LOAD <= netsim.LOAD_MAX
 
     def test_long_walk_stays_clamped(self):
         walk = EnvironmentWalk()
         env = initial_environment(DESK)
         for step in range(10_000):
             env = environment_step(env, walk, step)
-        assert all(walk.interference_min <= v <= walk.interference_max for v in env.interference)
-        assert all(walk.load_min <= v <= walk.load_max for v in env.load)
+        assert all(netsim.INTERFERENCE_MIN <= v <= netsim.INTERFERENCE_MAX for v in env.interference)
+        assert all(netsim.LOAD_MIN <= v <= netsim.LOAD_MAX for v in env.load)
 
     def test_trajectory_is_seed_deterministic(self):
         walk = EnvironmentWalk()
