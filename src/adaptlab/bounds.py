@@ -157,6 +157,8 @@ def expected_risk_terms(inputs: RiskBoundInputs, domain: QualityDomain) -> tuple
         raise ValueError(
             f"empirical_risk {inputs.empirical_risk} exceeds the domain's loss bound {domain.loss_upper}"
         )
+    if inputs.eta / 4.0 == 0.0:
+        raise ValueError(f"eta {inputs.eta!r} is too small: eta / 4 underflows to 0, and ln(eta / 4) is not finite")
     d = float(inputs.vc_dim)
     nu = (d * (math.log(2.0 * inputs.m / d) + 1.0) - math.log(inputs.eta / 4.0)) / inputs.m
     margin = domain.loss_upper * math.sqrt(nu)

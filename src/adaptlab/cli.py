@@ -61,7 +61,6 @@ _CSV_COLUMNS = {
     "empirical_risk": lambda r: _cell(r.empirical_risk),
     "bound_holds": lambda r: "" if r.bound_holds is None else ("true" if r.bound_holds else "false"),
 }
-CSV_HEADER = ",".join(_CSV_COLUMNS)
 
 
 # -- bounds --------------------------------------------------------------

@@ -347,26 +347,27 @@ class NetworkModel:
     option_ids[i].
 
     ``simulate_batch`` plays one network period per (row, seed) and returns
-    each run's lost-packet fraction in [0, 1]. Each mote forwards all its
-    packets over the one slot the row's option picks, so given the k packets
-    it holds in a run (its own plus those its children delivered), the count
-    it delivers to its parent is Binomial(k, q). Run s draws that count by
-    inverse CDF from one uniform per mote, ``stream_uint64(s, mote_id)``,
-    drawn for every mote in one call per batch, and processes children
-    before parents. Per mote, the options are grouped by slot, and each
-    group's runs are looked up by ``delivered_counts`` in the slot's
-    ``binomial_keys``: off its guide (all built on first use) once the
-    model's rows times a batch's runs per row reach ``_GUIDED_RUNS``, else
-    by the search, with equal counts; a model serving fewer runs does not
-    pay back its guides.
-    So an outcome depends only on its option and seed: a batch over many
+    each run's count of lost packets as ``int64``, out of ``total``, the
+    packets generated (1 where none are, and none is lost). Each mote
+    forwards all its packets over the one slot the row's option picks, so
+    given the k packets it holds in a run (its own plus those its children
+    delivered), the count it delivers to its parent is Binomial(k, q). Run s
+    draws that count by inverse CDF from one uniform per mote,
+    ``stream_uint64(s, mote_id)``, drawn for every mote in one call per
+    batch, and processes children before parents. Per mote, the options are
+    grouped by slot, and each group's runs are looked up by
+    ``delivered_counts`` in the slot's ``binomial_keys``: off its guide (all
+    built on first use) once the model's rows times a batch's runs per row
+    reach ``_GUIDED_RUNS``, else by the search, with equal counts; a model
+    serving fewer runs does not pay back its guides.
+    So a count depends only on its option and seed: a batch over many
     rows and seeds is bit-identical to batches of one row and one seed each.
     """
 
     def __init__(self, view: NetworkView, option_ids: Sequence[int] | np.ndarray):
         slots = view.slots(option_ids)
         generated = view.generated
-        self._total_generated = sum(generated)
+        self._generated, self.total = sum(generated), max(1, sum(generated))
         self._mote_count, self._row_count = len(generated), slots.shape[1]
 
         # Plan rows, children before parents (parent ids are smaller by
@@ -402,9 +403,6 @@ class NetworkModel:
     def simulate_batch(self, rows: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.intp)
         seeds = np.asarray(seeds, dtype=np.uint64)
-        total = self._total_generated
-        if total == 0:
-            return np.zeros(seeds.shape, dtype=np.float64)
         # every planned mote's 56-bit uniform in every (row, run), plan order
         uniforms = stream_uint64(seeds, self._mote_ids.reshape((-1,) + (1,) * seeds.ndim))
         np.right_shift(uniforms, np.uint64(64 - _KEY_SHIFT), out=uniforms)
@@ -419,8 +417,7 @@ class NetworkModel:
                 if len(members):
                     table = tables[index, : (cap + 1) * (cap + 2) // 2]  # a search needs only k up to cap
                     arrivals[parent, members] += delivered_counts(table, guides[index], keys[members])
-        lost = total - arrivals[0]
-        return lost.astype(np.float64) / total
+        return (self._generated - arrivals[0]).astype(np.int64)
 
 
 def desk_topology() -> NetworkTopology:

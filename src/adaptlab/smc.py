@@ -33,14 +33,14 @@ engine's candidates and ``coverage_experiment``'s repetitions are its rows.
 
 Determinism contract: option id's runs are seeded ``mix64(key, run_index)``
 with key ``mix64(base_seed, id)`` (:func:`adaptlab.seeds.mix64`), so each
-chunk continues the same seed stream and outcomes are collected in
-run-index order. The reported mean is an exactly rounded sum over all
-outcomes drawn. The stop decision uses float ``cumsum`` and ``log1p`` over
-the same outcomes, row by row, so it is deterministic on one machine and
-numpy build. An estimate is thus a pure function of (the option's outcomes,
-config, base_seed, id): it does not depend on which rows share its group,
-and a model that simulates its runs one seed at a time gives the same
-estimate, run count included, as one that simulates them in a single batch.
+chunk continues the same seed stream in run-index order. Runs report integer
+counts of the model's ``total``; the mean is their exact sum divided once by
+n * total. The stop decision uses float ``cumsum`` and ``log1p`` over the
+outcomes count / total, row by row, so it is deterministic on one machine
+and numpy build. An estimate is thus a pure function of (the option's
+counts, config, base_seed, id): it does not depend on which rows share its
+group, and a model that simulates its runs one seed at a time gives the
+same estimate, run count included, as one that simulates them in one batch.
 """
 
 from __future__ import annotations
@@ -56,10 +56,11 @@ from .seeds import stream_uint64
 
 class StochasticModel(Protocol):
     """Simulatable systems, one per row. ``simulate_batch(rows, seeds)``
-    returns, for seeds of shape (len(rows), n), the outcome in [0, 1] of row
-    rows[i] run with seed seeds[i, j] at [i, j]; each outcome is determined
-    by its (row, seed) alone, so any batching gives the same values."""
+    returns, for seeds of shape (len(rows), n), the integer count in [0, total]
+    of row rows[i] with seed seeds[i, j] at [i, j], its outcome count / total,
+    determined by that (row, seed) alone: any batching gives the same values."""
 
+    total: int
     def simulate_batch(self, rows: np.ndarray, seeds: np.ndarray) -> np.ndarray: ...
 
 
@@ -174,15 +175,17 @@ def verify_options(
     Option id runs with seeds ``mix64(mix64(base_seed, id), run_index)``
     until the betting confidence sequence at alpha/2 fits within +/-epsilon
     of its running mean, or up to ``required_samples(epsilon, alpha / 2)``
-    runs, and reports ``kappa_scale * sum(outcomes) / n`` with n as
-    ``samples_used``. Rows advance in lockstep groups: at each check, the
-    rows still running get their next runs from one ``simulate_batch`` call,
-    and one row-wise stopping check retires those whose interval fits, or
-    all of them at the cap. A run outcome outside [0, 1] is a model bug and
-    raises.
+    runs, and reports ``kappa_scale * sum(counts) / (n * total)``, the exact
+    sample mean rounded once, with n as ``samples_used``. Rows advance in
+    lockstep groups: at each check, the rows still running get their next
+    runs from one ``simulate_batch`` call, and one row-wise stopping check
+    retires those whose interval fits, or all of them at the cap. A count
+    that is not an integer in [0, total] is a model bug and raises.
     """
     ids = list(option_ids)
-    epsilon, level = config.epsilon, config.alpha / 2.0
+    epsilon, level, total = config.epsilon, config.alpha / 2.0, model.total
+    if level == 0.0 or 2.0 / level == math.inf:  # alpha / 2 underflows, or the cap's ln(2 / level) is infinite
+        raise ValueError(f"alpha {config.alpha!r} is too small: the Hoeffding run count at alpha / 2 overflows")
     cap = required_samples(epsilon, level)
     first = first_check(epsilon, config.alpha)
     group = max(1, RUN_BUDGET // first)
@@ -190,30 +193,25 @@ def verify_options(
     centers, used = [0.0] * len(ids), [0] * len(ids)
     for start in range(0, len(ids), group):
         running = np.arange(start, min(start + group, len(ids)))  # rows whose estimate has not stopped
-        outcomes = np.empty((len(running), 0))
+        outcomes, sums = np.empty((len(running), 0)), np.zeros(len(running), dtype=np.int64)
         done, n = 0, min(cap, first)
         while len(running):
             seeds_now = stream_uint64(keys[running, None], np.arange(done, n, dtype=np.uint64))
-            chunk = np.asarray(model.simulate_batch(running, seeds_now), dtype=np.float64)
-            if chunk.shape != seeds_now.shape:
-                raise ValueError(f"model returned {chunk.shape} outcomes for {seeds_now.shape} runs")
-            bad = ~((chunk >= 0.0) & (chunk <= 1.0))
+            chunk = np.asarray(model.simulate_batch(running, seeds_now))  # not cast: a cast would truncate fractions
+            if chunk.shape != seeds_now.shape or not np.issubdtype(chunk.dtype, np.integer):
+                raise ValueError(f"model returned {chunk.shape} {chunk.dtype} for {seeds_now.shape} integer counts")
+            bad = (chunk < 0) | (chunk > total)
             if bad.any():
                 r, j = np.unravel_index(np.argmax(bad), chunk.shape)
-                raise ValueError(
-                    f"run {done + j} of option {ids[running[r]]} produced outcome "
-                    f"{float(chunk[r, j])!r} outside [0, 1]"
-                )
-            outcomes = np.concatenate([outcomes, chunk], axis=1)
-            means = [math.fsum(row.data) / n for row in outcomes]
-            if n == cap:
-                stop = np.ones(len(running), dtype=bool)
-            else:
-                stop = _intervals_fit(outcomes, np.array(means), epsilon, level)
+                raise ValueError(f"run {done + j} of option {ids[running[r]]} gave {chunk[r, j]} outside [0, {total}]")
+            sums += chunk.sum(axis=1, dtype=np.int64)  # exact: integer addition does not round
+            outcomes = np.concatenate([outcomes, chunk / total], axis=1)
+            means = sums / (n * total)
+            stop = np.ones(len(running), dtype=bool) if n == cap else _intervals_fit(outcomes, means, epsilon, level)
             for position in np.flatnonzero(stop).tolist():
-                centers[running[position]] = means[position]
+                centers[running[position]] = float(means[position])
                 used[running[position]] = n
-            running, outcomes = running[~stop], outcomes[~stop]
+            running, outcomes, sums = running[~stop], outcomes[~stop], sums[~stop]
             done, n = n, min(cap, math.ceil(_GROWTH * n))
     return [
         (oid, SmcEstimate(mean=config.kappa_scale * center, samples_used=runs))
@@ -222,9 +220,10 @@ def verify_options(
 
 
 class BernoulliModel:
-    """Test model with known mean p: outcome 1.0 with probability p, else 0.0."""
+    """Test model with known mean p: it counts 1 of ``total`` 1 with probability p, else 0."""
 
     _SALT = 0x5E11AB1E
+    total = 1
 
     def __init__(self, p: float):
         if not 0.0 <= p <= 1.0:
@@ -235,8 +234,8 @@ class BernoulliModel:
         """Every row is the same model: the outcomes depend on the seeds alone."""
         draws = stream_uint64(np.asarray(seeds, dtype=np.uint64), np.uint64(self._SALT))
         if self.p == 1.0:  # exact; its threshold 2**64 does not fit a uint64
-            return np.ones(draws.shape)
-        return (draws < np.uint64(int(self.p * 2.0**64))).astype(np.float64)
+            return np.ones(draws.shape, dtype=np.int64)
+        return (draws < np.uint64(int(self.p * 2.0**64))).astype(np.int64)
 
 
 def coverage_experiment(

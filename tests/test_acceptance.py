@@ -192,8 +192,9 @@ def test_criterion_6_simulator_matches_analytic_loss(capsys):
             )
             view = NetworkView(topology, env)
             analytic = float(true_expected_loss(view)[option_id])
-            outcomes = NetworkModel(view, [option_id]).simulate_batch(np.array([0]), seeds[None, :])[0]
-            monte_carlo = 100.0 * float(np.mean(outcomes))
+            model = NetworkModel(view, [option_id])
+            lost = model.simulate_batch(np.array([0]), seeds[None, :])[0]
+            monte_carlo = 100.0 * float(np.mean(lost / model.total))
             worst = max(worst, abs(monte_carlo - analytic))
             assert abs(monte_carlo - analytic) <= 0.25, (analytic, monte_carlo)
         info["pairs"] = 20

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from adaptlab import cli
-from adaptlab.cli import CSV_HEADER, load_experiment_config, main, section_defaults
+from adaptlab.cli import load_experiment_config, main, section_defaults
 from adaptlab.engine import EngineConfig
 from adaptlab.netsim import EnvironmentWalk
 from adaptlab.smc import SmcConfig
@@ -107,6 +107,13 @@ class TestBoundsCommand:
             assert main(args) == 2, flag
             assert f"error: {flag} is too large" in capsys.readouterr().err
 
+    def test_eta_whose_quarter_underflows_is_named(self, capsys):
+        # eta / 4 rounds to 0, so ln(eta / 4) has no value
+        assert main(self.FLAGS + ["--eta", "5e-324"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: eta 5e-324 is too small")
+
     def test_non_finite_bound_is_usage_error(self, capsys):
         assert main(self.FLAGS + ["--u-q", "1e200"]) == 2
         captured = capsys.readouterr()
@@ -151,7 +158,10 @@ class TestRunCommand:
         config_path, config = write_config(tmp_path)
         assert main(["run", str(config_path)]) == 0
         lines = (tmp_path / "out.csv").read_text().splitlines()
-        assert lines[0] == CSV_HEADER
+        assert lines[0] == (
+            "cycle,reduced_size,cutoff,b_hat_w,selected_id,B_r,B_w,measured_error,"
+            "error_bound,min_probability,empirical_risk,bound_holds"
+        )
         assert len(lines) == 1 + 4
         warm = lines[1].split(",")
         post = lines[3].split(",")
@@ -291,6 +301,14 @@ class TestRunCommand:
             assert captured.out == ""
             assert message in captured.err
 
+    def test_alpha_whose_run_count_overflows_is_named(self, tmp_path, capsys):
+        config_path, _ = write_config(tmp_path, smc={"epsilon": 0.1, "alpha": 1e-320})
+        assert main(["run", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: alpha 1e-320 is too small")
+        assert not (tmp_path / "out.csv").exists()
+
     def test_failed_write_leaves_no_partial_output(self, tmp_path, capsys):
         config_path, _ = write_config(
             tmp_path,
@@ -427,6 +445,14 @@ class TestSelftestCommand:
         for epsilon in ("1e-300", "1e-160"):
             assert main(["smc-selftest", "--epsilon", epsilon, "--repetitions", "1"]) == 2, epsilon
             assert f"error: epsilon {float(epsilon)!r} is too small" in capsys.readouterr().err
+
+    def test_alpha_whose_run_count_overflows_is_named(self, capsys):
+        # 2 / (alpha / 2) overflows at 1e-320, and alpha / 2 underflows to 0 at 5e-324
+        for alpha in ("1e-320", "5e-324"):
+            assert main(["smc-selftest", "--alpha", alpha, "--repetitions", "3"]) == 2, alpha
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: alpha {alpha} is too small"), alpha
 
     def test_run_that_needs_more_memory_than_is_available_is_usage_error(self, capsys, monkeypatch):
         def too_large(*args, **kwargs):

@@ -34,7 +34,7 @@ FULL = full_topology()
 
 
 def simulate(view, option_id, seeds):
-    """Outcomes of one option over a 1-D array of seeds."""
+    """Lost-packet counts of one option over a 1-D array of seeds."""
     return NetworkModel(view, [option_id]).simulate_batch(np.array([0]), np.asarray(seeds)[None, :])[0]
 
 
@@ -269,17 +269,18 @@ class TestSimulation:
     def test_forced_delivery_extremes(self):
         env = initial_environment(DESK)
         seeds = seed_stream(5, 20)
-        assert np.all(simulate(pinned(NetworkView(DESK, env), 1.0), 37, seeds) == 0.0)
-        assert np.all(simulate(pinned(NetworkView(DESK, env), 0.0), 37, seeds) == 1.0)
+        assert np.all(simulate(pinned(NetworkView(DESK, env), 1.0), 37, seeds) == 0)
+        assert np.all(simulate(pinned(NetworkView(DESK, env), 0.0), 37, seeds) == 21)
 
     def test_outcomes_are_packet_fractions(self):
-        """Every outcome is lost/generated for an integer count of lost packets."""
+        """Every outcome is an int64 count of lost packets out of the model's
+        total, the packets generated: the lost-packet fraction is count / total."""
         env = initial_environment(DESK)
         generated = sum(max(0, round(m.rate * env.load[m.mote_id - 1])) for m in DESK.motes)
-        outcomes = simulate(NetworkView(DESK, env), 201, seed_stream(3, 2000))
-        lost = outcomes * generated
-        assert np.all((0.0 <= outcomes) & (outcomes <= 1.0))
-        np.testing.assert_allclose(lost, np.round(lost), atol=1e-9)
+        model = NetworkModel(NetworkView(DESK, env), [201])
+        lost = model.simulate_batch(np.array([0]), seed_stream(3, 2000)[None, :])[0]
+        assert model.total == generated == 21
+        assert lost.dtype == np.int64 and np.all((0 <= lost) & (lost <= generated))
 
     def test_scalar_equals_batch(self):
         """A batch over many options and seeds equals the same (option, seed)
@@ -309,7 +310,8 @@ class TestSimulation:
             env = environment_step(env, walk, 7000 + step)
         view = NetworkView(DESK, env)
         for oid in rng.integers(0, 256, size=3):
-            mc = 100.0 * float(simulate(view, int(oid), seed_stream(int(oid), 50_000)).mean())
+            lost = simulate(view, int(oid), seed_stream(int(oid), 50_000))
+            mc = 100.0 * float((lost / sum(view.generated)).mean())
             truth = true_expected_loss(view)[oid]
             assert abs(mc - truth) < 0.4  # ~5 sigma at this sample size
 
@@ -318,8 +320,7 @@ class TestSimulation:
         topo = one_hop_topology(rate=n)
         env = initial_environment(topo)
         for q in (0.3, 0.85):
-            lost = np.rint(simulate(pinned(NetworkView(topo, env), q), 0, seed_stream(11, runs)) * n)
-            lost = lost.astype(np.int64)
+            lost = simulate(pinned(NetworkView(topo, env), q), 0, seed_stream(11, runs))
             assert_binomial_histogram(lost, n, 1.0 - q)
 
     def test_two_hops_compose_to_binomial_of_q_squared(self):
@@ -333,8 +334,7 @@ class TestSimulation:
             ),
         )
         env = initial_environment(topo)
-        outcomes = simulate(pinned(NetworkView(topo, env), q), 0, seed_stream(12, runs))
-        delivered = n - np.rint(outcomes * n).astype(np.int64)
+        delivered = n - simulate(pinned(NetworkView(topo, env), q), 0, seed_stream(12, runs))
         assert_binomial_histogram(delivered, n, q * q)
 
     def test_relayed_packets_count_at_every_hop(self):
@@ -348,9 +348,9 @@ class TestSimulation:
             ),
         )
         env = initial_environment(topo)
-        assert np.all(simulate(pinned(NetworkView(topo, env), 1.0), 0, seed_stream(8, 50)) == 0.0)
+        assert np.all(simulate(pinned(NetworkView(topo, env), 1.0), 0, seed_stream(8, 50)) == 0)
         view = pinned(NetworkView(topo, env), 0.8)
-        mc = 100.0 * float(simulate(view, 0, seed_stream(9, 50_000)).mean())
+        mc = 100.0 * float((simulate(view, 0, seed_stream(9, 50_000)) / 3).mean())
         assert abs(mc - true_expected_loss(view)[0]) < 0.6  # ~5 sigma at this sample size
 
     def test_one_draw_per_mote_and_run(self, monkeypatch):
@@ -372,12 +372,19 @@ class TestSimulation:
         with pytest.raises(ValueError, match="packets"):
             NetworkModel(NetworkView(topo, initial_environment(topo)), [0])
         topo = one_hop_topology(rate=MAX_MOTE_PACKETS)
-        assert np.all(simulate(pinned(NetworkView(topo, initial_environment(topo)), 0.0), 0, seed_stream(6, 20)) == 1.0)
+        lost = simulate(pinned(NetworkView(topo, initial_environment(topo)), 0.0), 0, seed_stream(6, 20))
+        assert np.all(lost == MAX_MOTE_PACKETS)
 
     def test_zero_traffic_runs_return_zero(self):
+        # No packets: every run counts 0 lost out of a total of 1, on the
+        # searched path and on the guided one (an empty plan runs either way).
         topo = one_hop_topology(rate=1)
         env = Environment(interference=(2.0,), load=(0.01,))
-        assert np.array_equal(simulate(NetworkView(topo, env), 0, seed_stream(0, 10)), np.zeros(10))
+        for runs in (10, netsim._GUIDED_RUNS):
+            model = NetworkModel(NetworkView(topo, env), [0])
+            lost = model.simulate_batch(np.array([0]), seed_stream(0, runs)[None, :])
+            assert model.total == 1 and lost.dtype == np.int64 and np.array_equal(lost, np.zeros((1, runs)))
+            assert ("_guides" in vars(model)) == (runs == netsim._GUIDED_RUNS)  # the guides are built on first use
 
 
 class TestNetworkView:
@@ -504,8 +511,9 @@ class TestPinnedOutputs:
     def test_simulated_lost_packets(self):
         seeds = seed_stream(2024, 8)
         for oid, (lost, _) in self.EXPECTED.items():
-            outcomes = simulate(NetworkView(DESK, self.ENV), oid, seeds)
-            assert outcomes.tolist() == [k / self.GENERATED for k in lost], oid
+            model = NetworkModel(NetworkView(DESK, self.ENV), [oid])
+            assert model.total == self.GENERATED
+            assert model.simulate_batch(np.array([0]), seeds[None, :])[0].tolist() == lost, oid
 
     def test_oracle_values(self):
         losses = true_expected_loss(NetworkView(DESK, self.ENV))

@@ -1,6 +1,7 @@
 """Model checker: sample sizing, sequential stopping, determinism, scaling, coverage."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,17 +21,19 @@ from helpers import seed_stream
 
 
 class ConstantModel:
-    """Every run returns the same outcome."""
+    """Every run returns the same count out of ``total``, of the count's dtype."""
 
-    def __init__(self, value: float):
-        self.value = value
+    def __init__(self, count, total: int):
+        self.count, self.total = count, total
 
     def simulate_batch(self, rows: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-        return np.full(np.shape(seeds), self.value)
+        return np.full(np.shape(seeds), self.count)
 
 
 class OneSeedAtATimeBernoulli:
     """BernoulliModel run as batches of one seed, for equivalence checks."""
+
+    total = 1
 
     def __init__(self, p: float):
         self._inner = BernoulliModel(p)
@@ -43,12 +46,14 @@ class OneSeedAtATimeBernoulli:
 
 
 def simulate(model, seeds):
-    """Outcomes of the model's row 0 over a 1-D array of seeds."""
+    """Counts of the model's row 0 over a 1-D array of seeds."""
     return model.simulate_batch(np.array([0]), np.asarray(seeds)[None, :])[0]
 
 
 class RowMeansModel:
     """Row r is a Bernoulli model of mean means[r]."""
+
+    total = 1
 
     def __init__(self, means):
         self.means = list(means)
@@ -72,14 +77,17 @@ def reference_estimate(model, config, base_seed):
     ceil(1.5 ln(4/alpha) / ln(1 + eps/2)), then 1.5x further each time, up to
     the Hoeffding size at alpha/2; stop once the hedged betting capital (bets
     sqrt(2 ln(2/a) / (var_{t-1} t ln(1+t))) truncated at 1/2 and at 1/2 over
-    the distance to the bound) reaches 2/a at both center -/+ eps, a = alpha/2."""
+    the distance to the bound) reaches 2/a at both center -/+ eps, a = alpha/2.
+    The outcomes are the counts over the model's total, and the center is
+    the counts' sum over n * total, one correctly rounded division."""
     eps, level = config.epsilon, config.alpha / 2
     cap = math.ceil(math.log(2 / level) / (2 * eps * eps))
     n = min(cap, math.ceil(1.5 * math.log(4 / config.alpha) / math.log1p(eps / 2)))
     target = math.log(2 / level)
     while True:
-        xs = simulate(model, seed_stream(base_seed, n)).tolist()
-        center = math.fsum(xs) / n
+        counts = simulate(model, seed_stream(base_seed, n)).tolist()
+        center = sum(counts) / (n * model.total)
+        xs = [count / model.total for count in counts]
         if n == cap:
             return center, n
         low, high = center - eps, center + eps
@@ -134,7 +142,7 @@ class TestRequiredSamples:
 class TestEstimate:
     def test_constant_model_is_exact(self):
         config = SmcConfig(epsilon=0.1, alpha=0.1, kappa_scale=100.0)
-        est = one_estimate(ConstantModel(0.25), config, base_seed=0)
+        est = one_estimate(ConstantModel(1, total=4), config, base_seed=0)
         assert est.mean == 25.0
         # a constant stops at the first check, short of the fixed Hoeffding size
         assert est.samples_used == first_check(0.1, 0.1) == 114
@@ -169,10 +177,31 @@ class TestEstimate:
         assert abs(est.mean - 30.0) <= config.kappa
 
     def test_rejects_outcomes_outside_unit_interval(self):
-        with pytest.raises(ValueError, match="outside"):
-            one_estimate(ConstantModel(1.5), SmcConfig(epsilon=0.1, alpha=0.1), 0)
-        with pytest.raises(ValueError, match="outside"):
-            one_estimate(ConstantModel(float("nan")), SmcConfig(epsilon=0.1, alpha=0.1), 0)
+        for count in (3, -1):  # outcomes 1.5 and -0.5
+            with pytest.raises(ValueError, match=r"outside \[0, 2\]"):
+                one_estimate(ConstantModel(count, total=2), SmcConfig(epsilon=0.1, alpha=0.1), 0)
+
+    def test_rejects_outcomes_that_are_not_integer_counts(self):
+        # Casting 0.5 to an integer would count 0 without a word.
+        for outcome in (0.5, 1.0, float("nan"), True):
+            with pytest.raises(ValueError, match="integer counts"):
+                one_estimate(ConstantModel(outcome, total=1), SmcConfig(epsilon=0.1, alpha=0.1), 0)
+
+    def test_mean_is_the_exact_sample_mean_rounded_once(self):
+        # Counts out of 3 have inexact outcomes c / 3: summing those rounds at
+        # every step, summing the counts does not, so the two means differ here.
+        class SeedModFour:
+            total = 3
+
+            def simulate_batch(self, rows, seeds):
+                return (seeds % np.uint64(4)).astype(np.int64)
+
+        config, base_seed = SmcConfig(epsilon=0.1, alpha=0.1, kappa_scale=1.0), 4
+        est = one_estimate(SeedModFour(), config, base_seed)
+        counts = [int(seed) % 4 for seed in seed_stream(mix64(base_seed, 0), est.samples_used)]
+        exact = float(Fraction(sum(counts), est.samples_used * 3))
+        assert est.mean == exact
+        assert math.fsum(count / 3 for count in counts) / est.samples_used != exact
 
 
 class TestSequentialStopping:
@@ -255,10 +284,12 @@ class TestVerifyOptions:
         bad_seed = int(seed_stream(mix64(8, 42), 4)[3])
 
         class OneBadRun:
-            def simulate_batch(self, rows, seeds):
-                return np.where(seeds == np.uint64(bad_seed), 1.5, 0.25)
+            total = 4
 
-        with pytest.raises(ValueError, match=r"run 3 of option 42 produced outcome 1\.5 outside"):
+            def simulate_batch(self, rows, seeds):
+                return np.where(seeds == np.uint64(bad_seed), 6, 1)
+
+        with pytest.raises(ValueError, match=r"run 3 of option 42 gave 6 outside \[0, 4\]"):
             verify_options(OneBadRun(), [7, 42, 9], config, 8)
 
 
