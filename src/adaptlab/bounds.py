@@ -80,6 +80,14 @@ class QualityDomain:
         return 2.0 * self.width
 
 
+def check_eta(eta: float) -> None:
+    """Reject an eta outside (0, 1), or one whose eta / 4 underflows to 0."""
+    if not 0.0 < eta < 1.0:
+        raise ValueError("eta must lie in (0, 1)")
+    if eta / 4.0 == 0.0:
+        raise ValueError(f"eta {eta!r} is too small: eta / 4 underflows to 0, and ln(eta / 4) is not finite")
+
+
 @dataclass(frozen=True)
 class RiskBoundInputs:
     """Everything the decision-error bound needs about one trained model.
@@ -106,8 +114,7 @@ class RiskBoundInputs:
             raise ValueError("vc_dim must be a positive integer")
         if self.vc_dim >= self.m:
             raise ValueError(f"d >= m: risk bound needs more samples ({self.m}) than VC dimension ({self.vc_dim})")
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError("eta must lie in (0, 1)")
+        check_eta(self.eta)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if not 0.0 <= self.empirical_risk < math.inf:
@@ -150,15 +157,11 @@ def expected_risk_terms(inputs: RiskBoundInputs, domain: QualityDomain) -> tuple
 
     Returns ``(confidence_term, risk_margin, adjusted_risk_margin,
     expected_risk_upper)``, the last being empirical_risk + adjusted margin.
-    ``RiskBoundInputs`` has already checked d < m and eta in (0, 1), so nu is
-    positive, and kappa >= 0.
+    ``RiskBoundInputs`` has already checked d < m, eta in (0, 1) and that
+    eta / 4 does not underflow, so nu is finite and positive, and kappa >= 0.
     """
     if inputs.empirical_risk > domain.loss_upper:
-        raise ValueError(
-            f"empirical_risk {inputs.empirical_risk} exceeds the domain's loss bound {domain.loss_upper}"
-        )
-    if inputs.eta / 4.0 == 0.0:
-        raise ValueError(f"eta {inputs.eta!r} is too small: eta / 4 underflows to 0, and ln(eta / 4) is not finite")
+        raise ValueError(f"empirical_risk {inputs.empirical_risk} exceeds the domain's loss bound {domain.loss_upper}")
     d = float(inputs.vc_dim)
     nu = (d * (math.log(2.0 * inputs.m / d) + 1.0) - math.log(inputs.eta / 4.0)) / inputs.m
     margin = domain.loss_upper * math.sqrt(nu)

@@ -200,41 +200,30 @@ def write_records_csv(records: list[CycleRecord], path: str) -> None:
             writer.writerow([cell(record) for cell in _CSV_COLUMNS.values()])
 
 
+def _mean(values: list) -> float | None:
+    return math.fsum(values) / len(values) if values else None
+
+
 def summarize_records(records: list[CycleRecord], warmup_cycles: int) -> dict:
+    """Counts and statistics of the post-warm-up cycles; a statistic over no values is null."""
     post = [r for r in records if r.cycle > warmup_cycles]
     errors = [r.measured_error for r in post if r.measured_error is not None]
-    with_bound = [r for r in post if r.bound_holds is not None]
-    summary: dict = {
+    probs = [r.bound.min_probability for r in post if r.bound is not None]
+    holds = [r.bound_holds for r in post if r.bound_holds is not None]  # bounds checked against the oracle
+    mean = _mean(errors)
+    variance = _mean([(e - mean) ** 2 for e in errors])
+    return _sig_floats({
         "cycles": len(records),
         "warmup_cycles": warmup_cycles,
         "post_warmup_cycles": len(post),
-        "bound_applicable_cycles": len(with_bound),
-    }
-    if errors:
-        mean = math.fsum(errors) / len(errors)
-        variance = math.fsum((e - mean) ** 2 for e in errors) / len(errors)
-        summary.update(
-            min_measured_error=_sig(min(errors)),
-            max_measured_error=_sig(max(errors)),
-            mean_measured_error=_sig(mean),
-            std_measured_error=_sig(math.sqrt(variance)),
-        )
-    else:
-        summary.update(
-            min_measured_error=None,
-            max_measured_error=None,
-            mean_measured_error=None,
-            std_measured_error=None,
-        )
-    if with_bound:
-        holds = sum(1 for r in with_bound if r.bound_holds)
-        probs = [r.bound.min_probability for r in with_bound]
-        summary["bound_holds_fraction"] = _sig(holds / len(with_bound))
-        summary["mean_min_probability"] = _sig(math.fsum(probs) / len(probs))
-    else:
-        summary["bound_holds_fraction"] = None
-        summary["mean_min_probability"] = None
-    return summary
+        "bound_applicable_cycles": len(probs),
+        "min_measured_error": min(errors, default=None),
+        "max_measured_error": max(errors, default=None),
+        "mean_measured_error": mean,
+        "std_measured_error": None if variance is None else math.sqrt(variance),
+        "bound_holds_fraction": _mean(holds),
+        "mean_min_probability": _mean(probs),
+    })
 
 
 def _write_summary(summary: dict, path: str) -> None:

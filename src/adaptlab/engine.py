@@ -29,6 +29,7 @@ from .bounds import (
     DecisionErrorBound,
     QualityDomain,
     RiskBoundInputs,
+    check_eta,
     count_feasible,
     decision_error_bound,
     expected_risk_terms,
@@ -41,7 +42,6 @@ from .netsim import (
     NetworkTopology,
     NetworkView,
     environment_step,
-    feature_dim,
     features,
     initial_environment,
     true_expected_loss,
@@ -75,8 +75,7 @@ class EngineConfig:
             raise ValueError("warmup_cycles must be at least 1 (the model needs labeled data)")
         if self.total_cycles < self.warmup_cycles:
             raise ValueError("total_cycles must be at least warmup_cycles")
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError("eta must lie in (0, 1)")
+        check_eta(self.eta)
         if self.window_factor < 1:
             raise ValueError("window_factor must be positive")
         if self.workers != 1:
@@ -138,12 +137,12 @@ class AdaptationEngine:
         self.walk = walk if walk is not None else EnvironmentWalk()
         self.base_seed = base_seed
         self.options = range(topology.option_count)
-        self.vc_dim = vc_dimension_linear(feature_dim(topology))
         self.window_cap = config.window_factor * len(self.options)
         self.env: Environment = initial_environment(topology)
         # training window: feature rows and verified estimates, oldest first
-        self.window_x = np.empty((0, feature_dim(topology)))
+        self.window_x = np.empty((0, features(topology, self.env).shape[1]))
         self.window_y = np.empty(0)
+        self.vc_dim = vc_dimension_linear(self.window_x.shape[1])
         self.model: LinearModel | None = None
         self.completed_cycles = 0
 

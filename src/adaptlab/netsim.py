@@ -212,10 +212,6 @@ def features(topology: NetworkTopology, env: Environment) -> np.ndarray:
     return np.hstack([settings, np.tile(readings, (len(settings), 1))])  # float64, as readings are
 
 
-def feature_dim(topology: NetworkTopology) -> int:
-    return 2 * topology.mote_count + len(topology.split_motes) + topology.link_count
-
-
 class NetworkView:
     """The network at one environment, computed once per cycle for every
     option's oracle value and model: each mote's generated packets, the

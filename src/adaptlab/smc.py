@@ -129,11 +129,12 @@ def _intervals_fit(outcomes: np.ndarray, centers: np.ndarray, epsilon: float, le
     non-increasing in m, and the one betting on it falling short,
     prod(1 - l- (x - m)), is non-decreasing, so rejecting the two edge
     points center -/+ epsilon rejects both tails. A point is rejected when
-    half its capital reaches 1/level; an edge outside (0, 1) has no tail
-    left to reject. Eq. 26's truncation at ``_BET_CAP`` over the edge's room
-    is left out: bets are at most ``_BET_CAP`` and tested rooms lie in
-    (0, 1). Every operation works along a row (``cumsum`` is sequential and
-    each row's log-capital is summed on its own), so a row's answer does not
+    half its capital reaches 1/level. Both edges are evaluated on every row;
+    one without room (at or beyond 0 or 1) has no tail left to reject and is
+    masked out. Eq. 26's truncation at ``_BET_CAP`` over the edge's room is
+    left out: bets are at most ``_BET_CAP`` and unmasked rooms lie in (0, 1).
+    Every operation works along a row (``cumsum`` is sequential and each
+    row's log-capital is summed on its own), so a row's answer does not
     depend on the rows beside it.
     """
     t = np.arange(1, outcomes.shape[1] + 1, dtype=np.float64)
@@ -147,13 +148,9 @@ def _intervals_fit(outcomes: np.ndarray, centers: np.ndarray, epsilon: float, le
     low, high = centers - epsilon, centers + epsilon
     # (edge, its distance from the bound beyond it, whether it bets on a higher mean)
     for edges, room, up in ((low, low, True), (high, 1.0 - high, False)):
-        rows = np.flatnonzero(room > 0.0)
-        if len(rows):
-            rows = slice(None) if len(rows) == len(fits) else rows  # all rows: views, not copies
-            edge = edges[rows, None]
-            gains = outcomes[rows] - edge if up else edge - outcomes[rows]
-            capital = np.log1p(bets[rows] * gains).sum(axis=1)
-            fits[rows] &= capital >= log_target
+        gains = outcomes - edges[:, None] if up else edges[:, None] - outcomes  # >= 0 where masked
+        capital = np.log1p(bets * gains).sum(axis=1)
+        fits &= (room <= 0.0) | (capital >= log_target)
     return fits
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from adaptlab import cli
 from adaptlab.cli import load_experiment_config, main, section_defaults
-from adaptlab.engine import EngineConfig
+from adaptlab.engine import AdaptationEngine, EngineConfig
 from adaptlab.netsim import EnvironmentWalk
 from adaptlab.smc import SmcConfig
 
@@ -270,8 +270,18 @@ class TestRunCommand:
         post = rows[-1].split(",")
         assert post[8] != "" and post[9] != ""
         summary = json.loads(capsys.readouterr().out)
-        assert summary["mean_measured_error"] is None
-        assert summary["bound_holds_fraction"] is None
+        assert list(summary) == [
+            "cycles", "warmup_cycles", "post_warmup_cycles", "bound_applicable_cycles",
+            "min_measured_error", "max_measured_error", "mean_measured_error", "std_measured_error",
+            "bound_holds_fraction", "mean_min_probability",
+        ]
+        # a bound applies without the oracle; only the checks against it are missing
+        bounded = [cells for cells in (row.split(",") for row in rows[2:]) if cells[8] != ""]
+        assert summary["bound_applicable_cycles"] == len(bounded) > 0
+        assert summary["mean_min_probability"] == cli._sig(math.fsum(float(c[9]) for c in bounded) / len(bounded))
+        for key in ("bound_holds_fraction", "min_measured_error", "max_measured_error",
+                    "mean_measured_error", "std_measured_error"):
+            assert summary[key] is None, key
 
     def test_rejects_one_path_for_both_outputs(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -307,6 +317,20 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: alpha 1e-320 is too small")
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_eta_whose_quarter_underflows_fails_at_load(self, tmp_path, capsys, monkeypatch):
+        def never(self):
+            raise AssertionError("no cycle may run")
+
+        monkeypatch.setattr(AdaptationEngine, "run_cycle", never)
+        config_path, _ = write_config(tmp_path, engine={"warmup_cycles": 2, "total_cycles": 4, "eta": 5e-324})
+        assert main(["run", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: eta 5e-324 is too small: eta / 4 underflows to 0, and ln(eta / 4) is not finite\n"
+        )
         assert not (tmp_path / "out.csv").exists()
 
     def test_failed_write_leaves_no_partial_output(self, tmp_path, capsys):

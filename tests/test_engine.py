@@ -105,6 +105,12 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match="kappa_scale"):
             EngineConfig(smc=SmcConfig(kappa_scale=1.0))  # fractions, not the loss domain's percent
 
+    def test_rejects_eta_whose_quarter_underflows(self):
+        # eta / 4 rounds to 0, so ln(eta / 4) has no value: the config fails
+        # before any cycle runs, not at the first bound
+        with pytest.raises(ValueError, match=r"^eta 5e-324 is too small"):
+            EngineConfig(eta=5e-324)
+
 
 @pytest.fixture(scope="module")
 def records():

@@ -19,7 +19,6 @@ from adaptlab.netsim import (
     NetworkView,
     desk_topology,
     environment_step,
-    feature_dim,
     features,
     full_topology,
     initial_environment,
@@ -571,10 +570,12 @@ class TestEnvironment:
 class TestFeatures:
     def test_dimension_is_constant_and_documented(self):
         env = initial_environment(DESK)
-        assert features(DESK, env).shape == (256, feature_dim(DESK))
+        assert features(DESK, env).shape == (256, 22)  # 6 powers + 2 splits + 8 interference + 6 loads
         assert features(DESK, env).dtype == np.float64
-        assert feature_dim(DESK) == 22  # 6 powers + 2 splits + 8 interference + 6 loads
-        assert feature_dim(FULL) == 33
+        assert features(FULL, initial_environment(FULL)).shape == (4096, 33)
+        # the engine's VC dimension is the feature width plus one
+        assert AdaptationEngine(DESK, EngineConfig()).vc_dim == 23
+        assert AdaptationEngine(FULL, EngineConfig()).vc_dim == 34
 
     def test_distinct_options_differ(self):
         env = initial_environment(DESK)
@@ -596,8 +597,8 @@ class TestFeatures:
         for topo in (DESK, FULL):
             env = environment_step(initial_environment(topo), walk, 12)
             design = features(topo, env)
-            assert design.shape == (topo.option_count, feature_dim(topo))
             width = topo.mote_count + len(topo.split_motes)
+            assert design.shape == (topo.option_count, width + topo.link_count + topo.mote_count)
             for i in range(topo.option_count):
                 settings = tuple((i >> bit) & 1 for bit in range(width))
                 assert design[i].tolist() == list(settings + env.interference + env.load)

@@ -245,6 +245,15 @@ class TestSequentialStopping:
             used.add(batched.samples_used)
         assert max(used) > first_check(0.02, 0.1)  # some estimates take several chunks
 
+    def test_an_edge_without_room_has_no_tail_to_reject(self):
+        # Centers epsilon and 1 - epsilon put one edge exactly on 0 or 1, where
+        # constant outcomes give its bets no gain: only the room mask (room <= 0)
+        # lets these rows fit, as the other edge is rejected. The estimator never
+        # passes such a center, since its centers are the sample means.
+        epsilon, level = 0.1, 0.05
+        outcomes = np.array([[0.0] * 200, [1.0] * 200])
+        assert smc._intervals_fit(outcomes, np.array([epsilon, 1.0 - epsilon]), epsilon, level).tolist() == [True, True]
+
 
 class TestVerifyOptions:
     def test_empty_and_singleton(self):
