@@ -80,10 +80,15 @@ class QualityDomain:
         return 2.0 * self.width
 
 
+def check_open_unit(name: str, value: float) -> None:
+    """Reject a value outside (0, 1): the one range check of eta, alpha and epsilon."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1)")
+
+
 def check_eta(eta: float) -> None:
     """Reject an eta outside (0, 1), or one whose eta / 4 underflows to 0."""
-    if not 0.0 < eta < 1.0:
-        raise ValueError("eta must lie in (0, 1)")
+    check_open_unit("eta", eta)
     if eta / 4.0 == 0.0:
         raise ValueError(f"eta {eta!r} is too small: eta / 4 underflows to 0, and ln(eta / 4) is not finite")
 
@@ -115,8 +120,7 @@ class RiskBoundInputs:
         if self.vc_dim >= self.m:
             raise ValueError(f"d >= m: risk bound needs more samples ({self.m}) than VC dimension ({self.vc_dim})")
         check_eta(self.eta)
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+        check_open_unit("alpha", self.alpha)
         if not 0.0 <= self.empirical_risk < math.inf:
             raise ValueError("empirical_risk must be finite and nonnegative")
         if not 0.0 <= self.kappa < math.inf:

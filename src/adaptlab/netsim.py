@@ -12,9 +12,9 @@ An adaptation option makes one binary choice per mote - low or high
 transmission power - and one per mote with two parents - which of its two
 links carries all of its generated and relayed traffic. So every mote
 forwards over exactly one link. Bit i of an option id is the i-th of these
-choices, so option ids are stable and bijective. ``option_bits`` is the one
-decoder of this layout; the regressor's ``features`` and the view's
-``slots`` are both built from it.
+choices, so option ids are stable and bijective. The topology decodes every
+id once, into its ``option_table`` and ``slot_table``; the regressor's
+``features``, the view's ``slots`` and the oracle all read them.
 
 Both evaluations start from a ``NetworkView``, the network at one
 environment, built once per adaptation cycle. Its ``slots`` give each
@@ -26,15 +26,10 @@ mote's link and power under every option as ``2 * link + power``:
 - ``NetworkModel``: a list of options, one stochastic period per (option,
   seed). A mote holding k packets delivers Binomial(k, q) of them over its
   link, drawn by inverse CDF from one uniform per (seed, mote), children
-  before parents, on inverse-CDF tables the model builds for all its slots
-  in one call (``binomial_keys``; row k of a table starts at key
-  k (k + 1) / 2 and ends with the key of probability 1); large batches read
-  most counts off a guide per table (Chen and Asau's indexed search, 1974)
-  and search only where it holds a sentinel. One draw call per batch gives
-  every mote its uniforms. Each draw is addressed by (seed, mote id), so a
-  batch of runs over many options is bit-identical to the same
-  runs executed one by one (as batches of one) - which is what makes SMC
-  estimates over this model reproducible.
+  before parents, off Binomial tables and their guides (Chen and Asau's
+  indexed search, 1974). Each draw is addressed by (seed, mote id), so a
+  batch of runs over many options is bit-identical to the same runs one by
+  one - which is what makes SMC estimates over this model reproducible.
 
 Packet counts per mote are ``round(rate * load)`` - deterministic given
 the environment - and each mote's route is fixed by the option, so the
@@ -85,6 +80,7 @@ class NetworkTopology:
     Motes are numbered 1..K in order; every link's parent must carry a
     smaller id (the gateway or an earlier mote), which guarantees a DAG
     with all paths reaching the gateway. Each mote has one or two parents.
+    Its derived properties and read-only option tables are computed once.
     """
 
     motes: tuple[Mote, ...]
@@ -108,24 +104,43 @@ class NetworkTopology:
     def mote_count(self) -> int:
         return len(self.motes)
 
-    @property
+    @cached_property
     def link_order(self) -> tuple[tuple[int, int], ...]:
         """(child, parent) pairs in the canonical order used everywhere:
         motes ascending, each mote's links in declared order."""
         return tuple((m.mote_id, link.parent) for m in self.motes for link in m.links)
 
-    @property
+    @cached_property
     def link_count(self) -> int:
-        return sum(len(m.links) for m in self.motes)
+        return len(self.link_order)
 
-    @property
+    @cached_property
     def split_motes(self) -> tuple[int, ...]:
         """Ids of motes with two parents, ascending."""
         return tuple(m.mote_id for m in self.motes if len(m.links) == 2)
 
-    @property
+    @cached_property
     def option_count(self) -> int:
         return 2 ** (self.mote_count + len(self.split_motes))
+
+    @cached_property
+    def option_table(self) -> np.ndarray:
+        """Read-only bits of every option id, column i for id i: row b holds
+        bit b, the power bit of mote b + 1 (1 for high) for b below the mote
+        count, then the split bit of each two-parent mote, ascending id (1
+        routes over its first link)."""
+        width = self.mote_count + len(self.split_motes)
+        bits = (np.arange(self.option_count) >> np.arange(width)[:, None]) & 1
+        bits.flags.writeable = False
+        return bits
+
+    @cached_property
+    def slot_table(self) -> np.ndarray:
+        """Read-only ``NetworkView.slots`` of every option id, column i for id i."""
+        slots = self.option_table[: self.mote_count].copy()
+        slots[[mote_id - 1 for mote_id in self.split_motes]] += 2 - 2 * self.option_table[self.mote_count :]
+        slots.flags.writeable = False
+        return slots
 
 
 # Every link's interference and every mote's load at cycle 0, and the walk's clamps.
@@ -191,23 +206,13 @@ def link_delivery_prob(base_snr: float, power_level: int, interference: float) -
     return min(Q_CEIL, max(Q_FLOOR, q))
 
 
-def option_bits(topology: NetworkTopology, ids: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Row i holds bit i of every option id: the power bit of mote i + 1
-    (1 for high) for i below the mote count, then the split bit of each
-    two-parent mote, ascending id (1 routes over its first link)."""
-    ids = np.asarray(ids, dtype=np.intp)
-    if ids.size and not 0 <= ids.min() <= ids.max() < topology.option_count:
-        raise ValueError(f"option ids must lie in [0, {topology.option_count})")
-    return (ids >> np.arange(topology.mote_count + len(topology.split_motes))[:, None]) & 1
-
-
 def features(topology: NetworkTopology, env: Environment) -> np.ndarray:
     """Feature matrix of the whole adaptation space, row i for option id i.
 
-    Row layout: the ``option_bits`` of the id, then interference per link
-    (canonical link order) and load per mote (ascending id).
+    Row layout: the id's ``topology.option_table`` bits, then interference
+    per link (canonical link order) and load per mote (ascending id).
     """
-    settings = option_bits(topology, np.arange(topology.option_count)).T
+    settings = topology.option_table.T
     readings = np.array(env.interference + env.load, dtype=np.float64)
     return np.hstack([settings, np.tile(readings, (len(settings), 1))])  # float64, as readings are
 
@@ -237,12 +242,12 @@ class NetworkView:
         """Row m - 1 holds mote m's slot ``2 * link + power`` under every
         option id: the power its power bit sets, and the link (in declared
         order) the option routes all the mote's traffic over - split bit 1
-        picks the first, 0 the second (see ``option_bits``)."""
-        topology = self.topology
-        bits = option_bits(topology, ids)
-        slots = bits[: topology.mote_count]
-        slots[[mote_id - 1 for mote_id in topology.split_motes]] += 2 - 2 * bits[topology.mote_count:]
-        return slots
+        picks the first, 0 the second (see ``NetworkTopology.option_table``).
+        A fresh array, gathered from ``topology.slot_table``."""
+        ids, count = np.asarray(ids, dtype=np.intp), self.topology.option_count
+        if ids.size and not 0 <= ids.min() <= ids.max() < count:
+            raise ValueError(f"option ids must lie in [0, {count})")
+        return self.topology.slot_table[:, ids]
 
 
 def true_expected_loss(view: NetworkView) -> np.ndarray:
@@ -253,14 +258,14 @@ def true_expected_loss(view: NetworkView) -> np.ndarray:
     reach(i) = q * reach(parent) over the slot the option picks for i,
     evaluated in ascending mote order (parents first). Loss is
     100 * (1 - delivered/generated) over deterministic per-mote packet counts.
-    One array pass over ``view.slots`` does this for every option at once.
+    One array pass over ``topology.slot_table`` does this for every option.
     """
-    ids = np.arange(view.topology.option_count)
+    count = view.topology.option_count
     total = sum(view.generated)
     if total == 0:
-        return np.zeros(len(ids))
-    reach = [np.ones(len(ids))]  # by node id; the gateway's is 1
-    for slots, qs, parents in zip(view.slots(ids), view.qs, view.parents):
+        return np.zeros(count)
+    reach = [np.ones(count)]  # by node id; the gateway's is 1
+    for slots, qs, parents in zip(view.topology.slot_table, view.qs, view.parents):
         reach.append(np.array(qs)[slots] * np.where(slots >= 2, reach[parents[-1]], reach[parents[0]]))
     delivered = 0.0  # summed mote by mote in ascending id
     for g, r in zip(view.generated, reach[1:]):
@@ -277,7 +282,11 @@ MAX_MOTE_PACKETS = (1 << (64 - _KEY_SHIFT)) - 2
 # The delivered count at each table position: a search within row k lands
 # at the row's start, k (k + 1) / 2, plus the count.
 _COUNTS = np.concatenate([np.arange(k + 1, dtype=np.uint8) for k in range(MAX_MOTE_PACKETS + 1)])
-_GUIDE_SHIFT, _MISS, _GUIDED_RUNS = _KEY_SHIFT - 10, MAX_MOTE_PACKETS + 1, 1 << 15  # see binomial_guides, NetworkModel
+# See binomial_guides. Guides pay back their build once a model's rows times a
+# batch's runs per row reach _GUIDED_RUNS: over a post-warm-up desk cycle's
+# batches (2-core x86, numpy 2.4), guides lost at 5 rows x 225 runs (0.64
+# against 0.60 ms searched) and won at 5 x 1 110 (1.62 against 2.00 ms, build included).
+_GUIDE_SHIFT, _MISS, _GUIDED_RUNS = _KEY_SHIFT - 10, MAX_MOTE_PACKETS + 1, 1 << 12
 
 
 def binomial_keys(qs: Sequence[float], cap: int) -> np.ndarray:
@@ -332,10 +341,11 @@ def delivered_counts(table: np.ndarray, guide: np.ndarray | None, keys: np.ndarr
     """``_COUNTS[searchsorted(table, keys, side="right")]``, read off ``guide`` where given and not ``_MISS``."""
     if guide is None:
         return _COUNTS[np.searchsorted(table, keys, side="right")]
-    counts = guide[(keys >> np.uint64(_GUIDE_SHIFT)).astype(np.intp)]
-    misses = np.nonzero(counts == _MISS)
-    counts[misses] = _COUNTS[np.searchsorted(table, keys[misses], side="right")]
-    return counts
+    # flat in C order whatever the layout of keys, so the write-back reaches counts
+    counts = guide[(keys >> np.uint64(_GUIDE_SHIFT)).view(np.int64).reshape(-1)]
+    misses = np.flatnonzero(counts == _MISS)
+    counts[misses] = _COUNTS[np.searchsorted(table, keys.reshape(-1)[misses], side="right")]
+    return counts.reshape(keys.shape)
 
 
 class NetworkModel:
@@ -354,8 +364,8 @@ class NetworkModel:
     grouped by slot, and each group's runs are looked up by
     ``delivered_counts`` in the slot's ``binomial_keys``: off its guide (all
     built on first use) once the model's rows times a batch's runs per row
-    reach ``_GUIDED_RUNS``, else by the search, with equal counts; a model
-    serving fewer runs does not pay back its guides.
+    reach ``_GUIDED_RUNS``, else by the search, with equal counts; 5 options
+    pay back their guides' build at 1 110 runs per row, not at 225.
     So a count depends only on its option and seed: a batch over many
     rows and seeds is bit-identical to batches of one row and one seed each.
     """

@@ -51,6 +51,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from .bounds import check_open_unit
 from .seeds import stream_uint64
 
 
@@ -73,10 +74,8 @@ class SmcConfig:
     kappa_scale: float = 100.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+        check_open_unit("epsilon", self.epsilon)
+        check_open_unit("alpha", self.alpha)
         if not 0.0 < self.kappa_scale < math.inf:
             raise ValueError("kappa_scale must be positive and finite")
 
@@ -96,10 +95,8 @@ class SmcEstimate:
 
 def required_samples(epsilon: float, alpha: float) -> int:
     """Hoeffding run count ceil(ln(2/alpha) / (2 epsilon^2)) for [0, 1] outcomes."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    check_open_unit("epsilon", epsilon)
+    check_open_unit("alpha", alpha)
     try:
         return math.ceil(math.log(2.0 / alpha) / (2.0 * epsilon * epsilon))
     except (ZeroDivisionError, OverflowError):  # epsilon squared underflows, or the count is not finite

@@ -1,6 +1,7 @@
 """Network simulator: enumeration, link model, oracle consistency, environment."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -119,10 +120,13 @@ class TestEnumeration:
 
     def test_rejects_out_of_range_id(self):
         view = NetworkView(DESK, initial_environment(DESK))
-        with pytest.raises(ValueError):
+        message = re.escape("option ids must lie in [0, 256)")
+        with pytest.raises(ValueError, match=message):
             NetworkModel(view, [0, 256])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             NetworkModel(view, [-1])
+        with pytest.raises(ValueError, match=message):
+            view.slots([3, 256])
 
     def test_split_fractions_span_unit_interval(self):
         env = initial_environment(DESK)
@@ -146,6 +150,49 @@ class TestEnumeration:
         slots = view.slots([0b10_000110])[:, 0]
         assert slots.tolist() == [0, 1, 1, 2, 0, 0]
         assert [(view.parents[m][s >> 1], float(view.qs[m][s])) for m, s in enumerate(slots)] == expected
+
+
+def formula_bits(topology, ids):
+    """The bits of option ids decoded directly, row b holding bit b."""
+    return (np.asarray(ids) >> np.arange(topology.mote_count + len(topology.split_motes))[:, None]) & 1
+
+
+def formula_slots(topology, ids):
+    """Each mote's slot 2 * link + power, decoded directly from the bits."""
+    bits = formula_bits(topology, ids)
+    slots = bits[: topology.mote_count].copy()
+    slots[[mote_id - 1 for mote_id in topology.split_motes]] += 2 - 2 * bits[topology.mote_count :]
+    return slots
+
+
+class TestTopologyTables:
+    def test_tables_equal_the_direct_decoding(self):
+        for topo in (DESK, FULL):
+            ids = np.arange(topo.option_count)
+            assert np.array_equal(topo.option_table, formula_bits(topo, ids))
+            assert np.array_equal(topo.slot_table, formula_slots(topo, ids))
+            picked = np.array([topo.option_count - 1, 0, 5, 5, 77])
+            view = NetworkView(topo, initial_environment(topo))
+            assert np.array_equal(view.slots(picked), formula_slots(topo, picked))
+
+    def test_tables_are_read_only_and_slots_are_fresh(self):
+        view = NetworkView(DESK, initial_environment(DESK))
+        for table in (DESK.option_table, DESK.slot_table):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 1] = 7
+        before = DESK.slot_table.copy()
+        slots = view.slots([1, 200, 255])
+        slots += 9
+        assert np.array_equal(DESK.slot_table, before)
+        assert np.array_equal(view.slots([1, 200, 255]), formula_slots(DESK, [1, 200, 255]))
+
+    def test_cached_properties_leave_equality_hash_and_repr_alone(self):
+        topo = desk_topology()
+        before = (hash(topo), repr(topo))
+        for name in ("link_order", "link_count", "split_motes", "option_count", "option_table", "slot_table"):
+            assert getattr(topo, name) is getattr(topo, name), name  # computed once
+        assert (hash(topo), repr(topo)) == before
+        assert topo == DESK == desk_topology() and hash(topo) == hash(desk_topology())
 
 
 class TestTopologyValidation:
@@ -446,6 +493,7 @@ class TestNetworkView:
         tables = netsim.binomial_keys(qs, cap)
         edges = {b << 46 for b in range(1024)} | {((b + 1) << 46) - 1 for b in range(1024)}
         paths = np.zeros(2, dtype=np.int64)  # lookups read off the guide, lookups searched
+        missed_rows = []  # per q: rows of the 2-D grid below with a miss
         for q, table, guide in zip(qs, tables, netsim.binomial_guides(tables, cap)):
             for k in range(cap + 1):
                 start = k * (k + 1) // 2
@@ -457,7 +505,36 @@ class TestNetworkView:
                 assert np.array_equal(netsim.delivered_counts(table, guide, keys), searched), (q, k)
                 assert np.array_equal(netsim.delivered_counts(table, None, keys), searched), (q, k)
                 paths += np.bincount(guide[(keys >> np.uint64(46)).astype(np.intp)] == netsim._MISS, minlength=2)
+            # Rows x runs, as simulate_batch passes them: every k at every
+            # bucket edge, in C order, transposed and strided. The searched
+            # misses of every row must reach the counts returned.
+            rows = np.arange(cap + 1, dtype=np.uint64)[:, None] << np.uint64(56)
+            grid = rows + np.array(sorted(edges), dtype=np.uint64)
+            missed_rows.append(int((guide[(grid >> np.uint64(46)).astype(np.intp)] == netsim._MISS).any(axis=1).sum()))
+            for keys in (grid, grid.T, grid[:, ::3]):
+                searched = netsim._COUNTS[np.searchsorted(table, keys, side="right")]
+                assert np.array_equal(netsim.delivered_counts(table, guide, keys), searched), (q, keys.shape)
         assert paths.all()
+        assert max(missed_rows) == cap  # every row but k = 0 holds misses for some q
+
+    def test_five_options_read_guides_from_the_threshold_on(self):
+        # A post-warm-up model of five options with real traffic: rows x runs
+        # just below _GUIDED_RUNS searches, from it on reads the guides; either
+        # way every row equals its option simulated alone (searched).
+        env = initial_environment(DESK)
+        for step in range(3):
+            env = environment_step(env, EnvironmentWalk(), 4400 + step)
+        view = NetworkView(DESK, env)
+        ids = [45, 83, 177, 222, 255]
+        below = netsim._GUIDED_RUNS // len(ids)
+        for runs in (below, below + 1):
+            model = NetworkModel(view, ids)
+            seeds = np.stack([seed_stream(70 + i, runs) for i in range(len(ids))])
+            together = model.simulate_batch(np.arange(len(ids)), seeds)
+            assert ("_guides" in vars(model)) == (len(ids) * runs >= netsim._GUIDED_RUNS) == (runs > below)
+            assert model.total > 0 and together.any()
+            for row, oid in enumerate(ids):
+                assert np.array_equal(together[row], simulate(view, oid, seeds[row])), (runs, oid)
 
     def test_zero_traffic_model_has_no_tables(self):
         topo = one_hop_topology(rate=1)
