@@ -28,7 +28,7 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 
-from .bounds import QualityDomain, RiskBoundInputs, decision_error_bound
+from .bounds import QualityDomain, RiskBoundInputs, check_open_unit, decision_error_bound
 from .engine import LOSS_DOMAIN, CycleRecord, EngineConfig, run_experiment
 from .netsim import TOPOLOGY_PRESETS, EnvironmentWalk
 from .smc import SmcConfig, coverage_experiment
@@ -74,13 +74,14 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     for flag, count in (("--m", args.m), ("--n", args.n)):  # --d stays below --m
         if abs(count) > sys.float_info.max:
             raise ValueError(f"{flag} is too large: the bound needs it as a float")
+    check_open_unit("epsilon", args.epsilon)
     domain = QualityDomain(lower=args.l_q, upper=args.u_q)
     inputs = RiskBoundInputs(
         m=args.m,
         vc_dim=args.d,
         eta=args.eta,
         empirical_risk=args.empirical_risk,
-        kappa=SmcConfig(args.epsilon, args.alpha, kappa_scale=domain.width).kappa,  # epsilon x width, as in run
+        kappa=domain.width * args.epsilon,  # as in run
         alpha=args.alpha,
     )
     bound = decision_error_bound(inputs, domain, args.cutoff, args.b_hat_w, args.n)
@@ -133,13 +134,23 @@ def _field_value(value, default, where: str):
     return kind(value)
 
 
+# Keys of deleted settings that older configs still carry: each is accepted
+# only as the one value its setting allowed, and then dropped.
+# (section, key) -> (JSON types, value)
+_PINNED = {("engine", "workers"): ((int,), 1), ("smc", "kappa_scale"): ((int, float), LOSS_DOMAIN.width)}
+
+
 def _section(data: dict, name: str, cls: type, **nested):
     section = data.get(name, {})
     if not isinstance(section, dict):
         raise ValueError(f"{name} section must be an object")
     defaults = section_defaults(cls)
-    _check_keys(section, defaults, name)
-    return cls(**{k: _field_value(v, defaults[k], f"{name}.{k}") for k, v in section.items()}, **nested)
+    pinned = {key: rule for (where, key), rule in _PINNED.items() if where == name and key in section}
+    _check_keys(section, [*defaults, *pinned], name)
+    for key, (types, value) in pinned.items():
+        if type(section[key]) not in types or section[key] != value:
+            raise ValueError(f"{name}.{key} must be {value}, the one value of a deleted setting")
+    return cls(**{k: _field_value(v, defaults[k], f"{name}.{k}") for k, v in section.items() if k not in pinned}, **nested)
 
 
 def _required(data: dict, key: str):

@@ -53,8 +53,9 @@ from .smc import SmcConfig, verify_options
 _ENV_SEED_SALT = 0x454E5649524F4E  # distinct per-purpose salts so the
 _SMC_SEED_SALT = 0x534D432D52554E  # walk and verification streams never collide
 
-# Quality is packet loss in percent: the oracle's scale, and the SMC scale
-# with kappa_scale 100, the only one EngineConfig accepts.
+# Quality is packet loss in percent, the oracle's scale. The verifier
+# estimates loss fractions; the engine scales them, and epsilon into kappa,
+# by this domain's width.
 LOSS_DOMAIN = QualityDomain(lower=0.0, upper=100.0)
 
 
@@ -68,7 +69,6 @@ class EngineConfig:
     smc: SmcConfig = field(default_factory=SmcConfig)
     evaluation_mode: bool = True
     window_factor: int = 10
-    workers: int = 1  # 1 only: estimates run in the calling thread
 
     def __post_init__(self) -> None:
         if self.warmup_cycles < 1:
@@ -78,10 +78,6 @@ class EngineConfig:
         check_eta(self.eta)
         if self.window_factor < 1:
             raise ValueError("window_factor must be positive")
-        if self.workers != 1:
-            raise ValueError("workers must be 1: estimates run in the calling thread")
-        if self.smc.kappa_scale != LOSS_DOMAIN.width:
-            raise ValueError(f"smc.kappa_scale must be {LOSS_DOMAIN.width}, the width of the loss domain in percent")
 
 
 @dataclass(frozen=True)
@@ -171,10 +167,11 @@ class AdaptationEngine:
             candidate_ids = np.flatnonzero(predictions <= cut).tolist()
 
         verified = verify_options(NetworkModel(view, candidate_ids), candidate_ids, self.config.smc, smc_seed)
-        selected_id, _ = min(verified, key=lambda pair: (pair[1].mean, pair[0]))
+        means = [LOSS_DOMAIN.width * est.mean for _, est in verified]  # loss in percent
+        _, selected_id = min(zip(means, candidate_ids))
 
         self.window_x = np.concatenate([self.window_x, design[candidate_ids]])[-self.window_cap:]
-        self.window_y = np.concatenate([self.window_y, [est.mean for _, est in verified]])[-self.window_cap:]
+        self.window_y = np.concatenate([self.window_y, means])[-self.window_cap:]
         self.model = fit(self.window_x, self.window_y)
         risk = empirical_risk(self.model, self.window_x, self.window_y)
 
@@ -224,7 +221,7 @@ class AdaptationEngine:
             vc_dim=self.vc_dim,
             eta=self.config.eta,
             empirical_risk=risk,
-            kappa=self.config.smc.kappa,
+            kappa=LOSS_DOMAIN.width * self.config.smc.epsilon,
             alpha=self.config.smc.alpha,
         )
         *_, risk_upper = expected_risk_terms(inputs, LOSS_DOMAIN)

@@ -2,10 +2,8 @@
 
 Estimates the expected value of a [0, 1]-bounded run outcome of any
 stochastic model to within +/-epsilon at confidence 1 - alpha. Estimates
-are reported in quality units: the raw mean is multiplied by
-``kappa_scale`` and the induced quality-unit error is kappa =
-kappa_scale * epsilon (e.g. scale 100 turns a loss fraction into percent
-with kappa = 100 * epsilon).
+are fractions in [0, 1]; a caller that needs quality units scales them and
+epsilon by its domain's width.
 
 Stopping rule. An estimate draws its runs in chunks on a geometric grid
 (first check at ``first_check(epsilon, alpha)``, each later one 1.5x
@@ -67,27 +65,19 @@ class StochasticModel(Protocol):
 
 @dataclass(frozen=True)
 class SmcConfig:
-    """Estimation accuracy epsilon, significance alpha, quality-unit scale."""
+    """Estimation accuracy epsilon and significance alpha."""
 
     epsilon: float = 0.01
     alpha: float = 0.1
-    kappa_scale: float = 100.0
 
     def __post_init__(self) -> None:
         check_open_unit("epsilon", self.epsilon)
         check_open_unit("alpha", self.alpha)
-        if not 0.0 < self.kappa_scale < math.inf:
-            raise ValueError("kappa_scale must be positive and finite")
-
-    @property
-    def kappa(self) -> float:
-        """Estimation error in quality units: kappa_scale * epsilon."""
-        return self.kappa_scale * self.epsilon
 
 
 @dataclass(frozen=True)
 class SmcEstimate:
-    """Estimated quality value (+/-kappa of its config) and its run count."""
+    """Estimated mean in [0, 1] (+/-epsilon of its config) and its run count."""
 
     mean: float
     samples_used: int
@@ -162,15 +152,14 @@ def verify_options(
     config: SmcConfig,
     base_seed: int,
 ) -> list[tuple[int, SmcEstimate]]:
-    """Estimate every option's expected outcome in quality units, row i of
-    the model being option_ids[i], as (id, estimate) pairs in the order of
-    option_ids.
+    """Estimate every option's expected outcome, row i of the model being
+    option_ids[i], as (id, estimate) pairs in the order of option_ids.
 
     Option id runs with seeds ``mix64(mix64(base_seed, id), run_index)``
     until the betting confidence sequence at alpha/2 fits within +/-epsilon
     of its running mean, or up to ``required_samples(epsilon, alpha / 2)``
-    runs, and reports ``kappa_scale * sum(counts) / (n * total)``, the exact
-    sample mean rounded once, with n as ``samples_used``. Rows advance in
+    runs, and reports ``sum(counts) / (n * total)``, the exact sample mean
+    rounded once, with n as ``samples_used``. Rows advance in
     lockstep groups: at each check, the rows still running get their next
     runs from one ``simulate_batch`` call, and one row-wise stopping check
     retires those whose interval fits, or all of them at the cap. A count
@@ -207,10 +196,7 @@ def verify_options(
                 used[running[position]] = n
             running, outcomes, sums = running[~stop], outcomes[~stop], sums[~stop]
             done, n = n, min(cap, math.ceil(_GROWTH * n))
-    return [
-        (oid, SmcEstimate(mean=config.kappa_scale * center, samples_used=runs))
-        for oid, center, runs in zip(ids, centers, used)
-    ]
+    return [(oid, SmcEstimate(mean=center, samples_used=runs)) for oid, center, runs in zip(ids, centers, used)]
 
 
 class BernoulliModel:
@@ -238,31 +224,33 @@ def coverage_experiment(
     repetitions: int,
     base_seed: int,
 ) -> dict:
-    """Measure how often the +/-kappa interval captures a known mean.
+    """Measure how often the +/-epsilon interval captures a known mean.
 
     Runs ``repetitions`` independent estimates of a Bernoulli model with
     the given mean, as options 0..repetitions-1 of one ``verify_options``
     call, and reports the fraction whose interval contains it, against the
     threshold (1 - alpha) minus three-sigma binomial slack,
-    with the mean and largest run count of an estimate and their cap.
+    with the mean and largest run count of an estimate and their cap. A
+    threshold at or below 0, which a coverage of 0 would pass, is rejected
+    before any estimate runs.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be a positive integer")
     if not 0.0 <= true_mean <= 1.0:
         raise ValueError("true_mean must lie in [0, 1]")
+    nominal = 1.0 - config.alpha
+    threshold = nominal - 3.0 * math.sqrt(nominal * config.alpha / repetitions)
+    if threshold <= 0.0:
+        raise ValueError(f"repetitions {repetitions} are too few at alpha {config.alpha!r}: the coverage "
+                         f"threshold {threshold:.4g} is not positive, so any coverage would pass")
     estimates = verify_options(BernoulliModel(true_mean), range(repetitions), config, base_seed)
-    target = config.kappa_scale * true_mean
-    hits = sum(1 for _, est in estimates if abs(est.mean - target) <= config.kappa)
+    hits = sum(1 for _, est in estimates if abs(est.mean - true_mean) <= config.epsilon)
     samples = [est.samples_used for _, est in estimates]
     coverage = hits / repetitions
-    nominal = 1.0 - config.alpha
-    slack = 3.0 * math.sqrt(nominal * config.alpha / repetitions)
-    threshold = nominal - slack
     return {
         "true_mean": true_mean,
         "epsilon": config.epsilon,
         "alpha": config.alpha,
-        "kappa_scale": config.kappa_scale,
         "repetitions": repetitions,
         "mean_samples_used": sum(samples) / repetitions,
         "max_samples_used": max(samples),

@@ -235,6 +235,10 @@ class TestRunCommand:
             ("smc", "epsilon", "0.2"),
             ("smc", "kappa_scale", True),
             ("smc", "kappa_scale", 1.0),  # run reports loss in percent: only 100 fits
+            ("smc", "kappa_scale", 99.0),
+            ("smc", "kappa_scale", "100"),
+            ("engine", "workers", 1.0),
+            ("engine", "workers", 2),
             ("engine", "eta", math.nan),
             ("engine", "eta", 10**400),
             ("engine", "warmup_cycles", 2.0),
@@ -398,6 +402,16 @@ class TestRunCommand:
         assert "workers must be 1" in captured.err
         assert not (tmp_path / "out.csv").exists()
 
+    def test_pinned_keys_load_at_their_one_value(self, tmp_path):
+        """engine.workers and smc.kappa_scale name deleted settings; older
+        configs may still set each to the one value it allowed, which
+        changes nothing. An integer 100 is that number too."""
+        engine = {"warmup_cycles": 2, "total_cycles": 4}
+        config_path, _ = write_config(tmp_path, engine={**engine, "workers": 1}, smc={"epsilon": 0.1, "kappa_scale": 100})
+        pinned = load_experiment_config(str(config_path))
+        config_path, _ = write_config(tmp_path, engine=engine, smc={"epsilon": 0.1})
+        assert pinned == load_experiment_config(str(config_path))
+
     def test_failed_run_keeps_existing_output(self, tmp_path, capsys):
         previous = b"cycle\n1\n"
         (tmp_path / "out.csv").write_bytes(previous)
@@ -489,6 +503,13 @@ class TestSelftestCommand:
         assert captured.err == (
             "error: the run needs more memory than is available (a smaller epsilon asks for more runs)\n"
         )
+
+    def test_threshold_that_any_coverage_passes_is_usage_error(self, capsys):
+        # at alpha 0.9, 50 repetitions put the threshold at -0.027: a coverage of 0 would pass
+        assert main(["smc-selftest", "--alpha", "0.9", "--repetitions", "50"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: repetitions 50 are too few at alpha 0.9")
 
     def test_bad_mean_is_usage_error(self, capsys):
         assert main(["smc-selftest", "--mean", "1.5", "--repetitions", "10"]) == 2

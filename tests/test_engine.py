@@ -1,6 +1,7 @@
 """Adaptation loop: cutoff rule, reduction, warm-up behavior, determinism."""
 
 import importlib
+import json
 import math
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from adaptlab.bounds import RiskBoundInputs, expected_risk_terms
 from adaptlab.cli import load_experiment_config
 from adaptlab.engine import (
+    _SMC_SEED_SALT,
     LOSS_DOMAIN,
     AdaptationEngine,
     CycleRecord,
@@ -21,13 +23,16 @@ from adaptlab.netsim import (
     EnvironmentWalk,
     Link,
     Mote,
+    NetworkModel,
     NetworkTopology,
+    NetworkView,
     desk_topology,
     features,
     full_topology,
     true_expected_loss,
 )
 from adaptlab.regression import predict_batch
+from adaptlab.seeds import mix64
 from adaptlab.smc import SmcConfig, verify_options
 
 DESK = desk_topology()
@@ -82,7 +87,7 @@ class TestEngineConfig:
         assert config.eta == 0.05
         assert config.smc.epsilon == 0.01
         assert config.smc.alpha == 0.1
-        assert config.smc.kappa == 1.0
+        assert LOSS_DOMAIN.width * config.smc.epsilon == 1.0  # kappa, one loss point
 
     def test_warmup_equal_to_total_is_allowed(self):
         config = EngineConfig(warmup_cycles=3, total_cycles=3, smc=QUICK_SMC)
@@ -99,11 +104,6 @@ class TestEngineConfig:
             EngineConfig(eta=0.0)
         with pytest.raises(ValueError):
             EngineConfig(window_factor=0)
-        for workers in (0, 2):
-            with pytest.raises(ValueError, match="workers must be 1"):
-                EngineConfig(workers=workers)
-        with pytest.raises(ValueError, match="kappa_scale"):
-            EngineConfig(smc=SmcConfig(kappa_scale=1.0))  # fractions, not the loss domain's percent
 
     def test_rejects_eta_whose_quarter_underflows(self):
         # eta / 4 rounds to 0, so ln(eta / 4) has no value: the config fails
@@ -197,6 +197,18 @@ class TestTrainingWindow:
         np.testing.assert_array_equal(engine.window_x, np.concatenate([before[k:], design[verified]]))
         assert len(engine.window_y) == 256
 
+    def test_window_holds_the_verifier_fractions_in_percent(self):
+        engine = AdaptationEngine(DESK, quick_config(), base_seed=8)
+        record = engine.run_cycle()
+        ids = list(range(DESK.option_count))
+        seed = mix64(8, _SMC_SEED_SALT, 1)
+        verified = verify_options(NetworkModel(NetworkView(DESK, engine.env), ids), ids, QUICK_SMC, seed)
+        fractions = np.array([est.mean for _, est in verified])
+        assert ((0.0 <= fractions) & (fractions <= 1.0)).all()
+        percent = LOSS_DOMAIN.width * fractions
+        assert engine.window_y.tobytes() == percent.tobytes()
+        assert record.selected_id == min(zip(percent.tolist(), ids))[1]
+
     def test_bound_uses_window_size(self):
         config = quick_config(window_factor=1, warmup_cycles=2, total_cycles=3)
         records = run_experiment(DESK, config, base_seed=5)
@@ -207,7 +219,7 @@ class TestTrainingWindow:
             vc_dim=23,
             eta=config.eta,
             empirical_risk=records[-1].empirical_risk,
-            kappa=config.smc.kappa,
+            kappa=LOSS_DOMAIN.width * config.smc.epsilon,
             alpha=config.smc.alpha,
         )
         assert bound.confidence_term == expected_risk_terms(inputs, LOSS_DOMAIN)[0]
@@ -270,7 +282,8 @@ class TestInLoopVerifier:
 
         def paired_truth(view):
             truths = true_expected_loss(view)
-            outcomes.extend(abs(est.mean - truths[oid]) <= config.smc.kappa for oid, est in verified)
+            kappa = LOSS_DOMAIN.width * config.smc.epsilon
+            outcomes.extend(abs(LOSS_DOMAIN.width * est.mean - truths[oid]) <= kappa for oid, est in verified)
             verified.clear()
             return truths
 
@@ -298,11 +311,18 @@ class TestBenchmarkHooks:
 
     def test_every_workload_config_loads(self, monkeypatch, tmp_path):
         """The config loader rejects unknown keys, so every key the benchmark
-        writes must stay a config key."""
+        writes must stay a config key; the pinned keys of deleted settings
+        change nothing."""
         bench = perfbench_module(monkeypatch, "run")
         for workload, spec in sorted(bench.WORKLOADS.items()):
-            loaded = load_experiment_config(str(bench.write_config(workload, bench.ACCEPTANCE_SEED, tmp_path)))
+            path = bench.write_config(workload, bench.ACCEPTANCE_SEED, tmp_path)
+            loaded = load_experiment_config(str(path))
             assert (loaded.topology, loaded.engine.total_cycles) == (spec["topology"], spec["engine"]["total_cycles"])
+            config = json.loads(path.read_text(encoding="utf-8"))
+            del config["engine"]["workers"], config["smc"]["kappa_scale"]
+            unpinned = tmp_path / f"{workload}-unpinned.json"
+            unpinned.write_text(json.dumps(config), encoding="utf-8")
+            assert load_experiment_config(str(unpinned)) == loaded, workload
 
     def test_traced_desk_run_fills_every_counter(self, monkeypatch):
         spans = perfbench_module(monkeypatch, "spans")

@@ -1,4 +1,4 @@
-"""Model checker: sample sizing, sequential stopping, determinism, scaling, coverage."""
+"""Model checker: sample sizing, sequential stopping, determinism, coverage."""
 
 import math
 from fractions import Fraction
@@ -141,9 +141,9 @@ class TestRequiredSamples:
 
 class TestEstimate:
     def test_constant_model_is_exact(self):
-        config = SmcConfig(epsilon=0.1, alpha=0.1, kappa_scale=100.0)
+        config = SmcConfig(epsilon=0.1, alpha=0.1)
         est = one_estimate(ConstantModel(1, total=4), config, base_seed=0)
-        assert est.mean == 25.0
+        assert est.mean == 0.25
         # a constant stops at the first check, short of the fixed Hoeffding size
         assert est.samples_used == first_check(0.1, 0.1) == 114
         assert est.samples_used < required_samples(0.1, 0.1)
@@ -165,16 +165,10 @@ class TestEstimate:
         scalar = one_estimate(OneSeedAtATimeBernoulli(0.37), config, base_seed=21)
         assert batched == scalar
 
-    def test_kappa_scale_is_linear(self):
-        model = BernoulliModel(0.5)
-        small = one_estimate(model, SmcConfig(epsilon=0.05, alpha=0.1, kappa_scale=100.0), 5)
-        large = one_estimate(model, SmcConfig(epsilon=0.05, alpha=0.1, kappa_scale=200.0), 5)
-        assert large.mean == 2.0 * small.mean
-
     def test_estimate_lands_near_truth(self):
         config = SmcConfig(epsilon=0.02, alpha=0.05)
         est = one_estimate(BernoulliModel(0.3), config, 11)
-        assert abs(est.mean - 30.0) <= config.kappa
+        assert abs(est.mean - 0.3) <= config.epsilon
 
     def test_rejects_outcomes_outside_unit_interval(self):
         for count in (3, -1):  # outcomes 1.5 and -0.5
@@ -196,7 +190,7 @@ class TestEstimate:
             def simulate_batch(self, rows, seeds):
                 return (seeds % np.uint64(4)).astype(np.int64)
 
-        config, base_seed = SmcConfig(epsilon=0.1, alpha=0.1, kappa_scale=1.0), 4
+        config, base_seed = SmcConfig(epsilon=0.1, alpha=0.1), 4
         est = one_estimate(SeedModFour(), config, base_seed)
         counts = [int(seed) % 4 for seed in seed_stream(mix64(base_seed, 0), est.samples_used)]
         exact = float(Fraction(sum(counts), est.samples_used * 3))
@@ -232,7 +226,7 @@ class TestSequentialStopping:
             for seed in range(6):
                 est = one_estimate(BernoulliModel(p), config, seed)
                 center, runs = reference_estimate(BernoulliModel(p), config, mix64(seed, 0))
-                assert (est.mean, est.samples_used) == (100.0 * center, runs), (p, seed)
+                assert (est.mean, est.samples_used) == (center, runs), (p, seed)
                 stops.add(runs)
         assert len(stops) >= 3  # first check, a later one and the cap
 
@@ -262,7 +256,7 @@ class TestVerifyOptions:
         [(oid, est)] = verify_options(BernoulliModel(0.2), [4], config, 12)
         assert oid == 4
         center, runs = reference_estimate(BernoulliModel(0.2), config, mix64(12, 4))
-        assert (est.mean, est.samples_used) == (100.0 * center, runs)
+        assert (est.mean, est.samples_used) == (center, runs)
 
     def test_order_independent(self):
         config = SmcConfig(epsilon=0.1, alpha=0.1)
@@ -285,7 +279,7 @@ class TestVerifyOptions:
         assert [oid for oid, _ in verified] == list(range(len(means)))
         for oid, est in verified:
             center, runs = reference_estimate(BernoulliModel(means[oid]), config, mix64(5, oid))
-            assert (est.mean, est.samples_used) == (100.0 * center, runs), oid
+            assert (est.mean, est.samples_used) == (center, runs), oid
         assert len({est.samples_used for _, est in verified}) >= 3
 
     def test_outcome_outside_unit_interval_names_option_and_run(self):
@@ -326,7 +320,7 @@ class TestLockstep:
         assert [oid for oid, _ in verified] == ids
         for oid, est in verified:
             center, runs = reference_estimate(NetworkModel(view, [oid]), config, mix64(61, oid))
-            assert (est.mean, est.samples_used) == (100.0 * center, runs), oid
+            assert (est.mean, est.samples_used) == (center, runs), oid
         if epsilon == 0.01:  # some options take a second check
             assert len({est.samples_used for _, est in verified}) > 1
 
@@ -343,18 +337,12 @@ class TestLockstep:
 
 
 class TestConfig:
-    def test_kappa_property(self):
-        assert SmcConfig(epsilon=0.01, alpha=0.1, kappa_scale=100.0).kappa == 1.0
-
     def test_rejects_bad_values(self):
         for kwargs in (
             dict(epsilon=0.0, alpha=0.1),
             dict(epsilon=1.0, alpha=0.1),
             dict(epsilon=0.1, alpha=0.0),
             dict(epsilon=0.1, alpha=1.0),
-            dict(epsilon=0.1, alpha=0.1, kappa_scale=0.0),
-            dict(epsilon=0.1, alpha=0.1, kappa_scale=float("inf")),
-            dict(epsilon=0.1, alpha=0.1, kappa_scale=float("nan")),
         ):
             with pytest.raises(ValueError):
                 SmcConfig(**kwargs)
@@ -375,3 +363,15 @@ class TestCoverage:
             coverage_experiment(0.5, config, repetitions=0, base_seed=0)
         with pytest.raises(ValueError):
             coverage_experiment(1.5, config, repetitions=10, base_seed=0)
+
+    def test_rejects_a_threshold_that_any_coverage_passes(self, monkeypatch):
+        # (1 - alpha) - 3 sqrt((1 - alpha) alpha / r) is at most 0 for r <= 9 alpha / (1 - alpha)
+        # = 81 at alpha 0.9, where a coverage of 0 would pass: rejected before any estimate runs.
+        config = SmcConfig(epsilon=0.02, alpha=0.9)
+        with monkeypatch.context() as patch:
+            patch.setattr(smc, "verify_options", None)
+            for repetitions in (1, 50, 80):
+                with pytest.raises(ValueError, match=rf"^repetitions {repetitions} are too few at alpha 0.9"):
+                    coverage_experiment(0.5, config, repetitions=repetitions, base_seed=0)
+        report = coverage_experiment(0.5, config, repetitions=100, base_seed=0)
+        assert 0.0 < report["threshold"] < 0.02
