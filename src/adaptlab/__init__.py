@@ -20,7 +20,7 @@ from .bounds import (
 )
 from .engine import EngineConfig, cutoff, run_experiment
 from .netsim import Environment, NetworkModel, NetworkView, desk_topology, true_expected_loss
-from .regression import empirical_risk, fit
+from .regression import TrainingWindow, empirical_risk, fit
 from .smc import SmcConfig, coverage_experiment, required_samples
 
 __version__ = "0.1.0"
@@ -33,6 +33,7 @@ __all__ = [
     "QualityDomain",
     "RiskBoundInputs",
     "SmcConfig",
+    "TrainingWindow",
     "coverage_experiment",
     "cutoff",
     "decision_error_bound",

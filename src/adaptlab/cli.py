@@ -221,6 +221,8 @@ def summarize_records(records: list[CycleRecord], warmup_cycles: int) -> dict:
     errors = [r.measured_error for r in post if r.measured_error is not None]
     probs = [r.bound.min_probability for r in post if r.bound is not None]
     holds = [r.bound_holds for r in post if r.bound_holds is not None]  # bounds checked against the oracle
+    # a bound at least the best-to-worst spread would accept any option
+    vacuous = [r.bound.error_bound >= r.b_worst - r.b_w for r in post if r.bound_holds is not None]
     mean = _mean(errors)
     variance = _mean([(e - mean) ** 2 for e in errors])
     return _sig_floats({
@@ -233,6 +235,7 @@ def summarize_records(records: list[CycleRecord], warmup_cycles: int) -> dict:
         "mean_measured_error": mean,
         "std_measured_error": None if variance is None else math.sqrt(variance),
         "bound_holds_fraction": _mean(holds),
+        "vacuous_bound_cycles": sum(vacuous) if vacuous else None,
         "mean_min_probability": _mean(probs),
     })
 

@@ -46,7 +46,7 @@ from .netsim import (
     initial_environment,
     true_expected_loss,
 )
-from .regression import LinearModel, empirical_risk, fit, predict_batch
+from .regression import LinearModel, TrainingWindow, empirical_risk, fit, predict_batch
 from .seeds import mix64
 from .smc import SmcConfig, verify_options
 
@@ -86,7 +86,7 @@ class CycleRecord:
 
     Fields that only exist after warm-up (cutoff, b_hat_w, bound,
     bound_holds) are None during warm-up; the oracle fields (b_r, b_w,
-    measured_error) are None outside evaluation mode.
+    b_worst, measured_error) are None outside evaluation mode.
     """
 
     cycle: int
@@ -96,6 +96,7 @@ class CycleRecord:
     selected_id: int
     b_r: float | None
     b_w: float | None
+    b_worst: float | None
     measured_error: float | None
     bound: DecisionErrorBound | None
     empirical_risk: float | None
@@ -133,12 +134,10 @@ class AdaptationEngine:
         self.walk = walk if walk is not None else EnvironmentWalk()
         self.base_seed = base_seed
         self.options = range(topology.option_count)
-        self.window_cap = config.window_factor * len(self.options)
         self.env: Environment = initial_environment(topology)
-        # training window: feature rows and verified estimates, oldest first
-        self.window_x = np.empty((0, features(topology, self.env).shape[1]))
-        self.window_y = np.empty(0)
-        self.vc_dim = vc_dimension_linear(self.window_x.shape[1])
+        # training window: feature rows and verified estimates
+        self.window = TrainingWindow(features(topology, self.env).shape[1], config.window_factor * len(self.options))
+        self.vc_dim = vc_dimension_linear(self.window.dim)
         self.model: LinearModel | None = None
         self.completed_cycles = 0
 
@@ -170,19 +169,19 @@ class AdaptationEngine:
         means = [LOSS_DOMAIN.width * est.mean for _, est in verified]  # loss in percent
         _, selected_id = min(zip(means, candidate_ids))
 
-        self.window_x = np.concatenate([self.window_x, design[candidate_ids]])[-self.window_cap:]
-        self.window_y = np.concatenate([self.window_y, means])[-self.window_cap:]
-        self.model = fit(self.window_x, self.window_y)
-        risk = empirical_risk(self.model, self.window_x, self.window_y)
+        self.window.add(design[candidate_ids], means)
+        self.model = fit(self.window)
+        risk = empirical_risk(self.model, self.window)
 
         bound = None
         if not warmup:
             bound = self._cycle_bound(risk, predictions, best_prediction, cut)
 
-        b_r = b_w = measured = None
+        b_r = b_w = b_worst = measured = None
         if self.config.evaluation_mode:
             truths = true_expected_loss(view)
             b_w = float(truths.min())
+            b_worst = float(truths.max())
             b_r = float(truths[selected_id])
             measured = b_r - b_w
         holds = None
@@ -198,6 +197,7 @@ class AdaptationEngine:
             selected_id=selected_id,
             b_r=b_r,
             b_w=b_w,
+            b_worst=b_worst,
             measured_error=measured,
             bound=bound,
             empirical_risk=risk,
@@ -213,7 +213,7 @@ class AdaptationEngine:
     ) -> DecisionErrorBound | None:
         """Compose the per-cycle decision-error bound, or None when the
         training window is still too small for the risk bound to apply."""
-        m = len(self.window_y)
+        m = len(self.window)
         if self.vc_dim >= m or risk > LOSS_DOMAIN.loss_upper:
             return None
         inputs = RiskBoundInputs(

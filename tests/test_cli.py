@@ -8,7 +8,8 @@ import pytest
 
 from adaptlab import cli
 from adaptlab.cli import load_experiment_config, main, section_defaults
-from adaptlab.engine import AdaptationEngine, EngineConfig
+from adaptlab.bounds import DecisionErrorBound
+from adaptlab.engine import AdaptationEngine, CycleRecord, EngineConfig
 from adaptlab.netsim import EnvironmentWalk
 from adaptlab.smc import SmcConfig
 
@@ -277,13 +278,13 @@ class TestRunCommand:
         assert list(summary) == [
             "cycles", "warmup_cycles", "post_warmup_cycles", "bound_applicable_cycles",
             "min_measured_error", "max_measured_error", "mean_measured_error", "std_measured_error",
-            "bound_holds_fraction", "mean_min_probability",
+            "bound_holds_fraction", "vacuous_bound_cycles", "mean_min_probability",
         ]
         # a bound applies without the oracle; only the checks against it are missing
         bounded = [cells for cells in (row.split(",") for row in rows[2:]) if cells[8] != ""]
         assert summary["bound_applicable_cycles"] == len(bounded) > 0
         assert summary["mean_min_probability"] == cli._sig(math.fsum(float(c[9]) for c in bounded) / len(bounded))
-        for key in ("bound_holds_fraction", "min_measured_error", "max_measured_error",
+        for key in ("bound_holds_fraction", "vacuous_bound_cycles", "min_measured_error", "max_measured_error",
                     "mean_measured_error", "std_measured_error"):
             assert summary[key] is None, key
 
@@ -441,6 +442,39 @@ class TestRunCommand:
         assert spec.engine == EngineConfig()
         assert spec.engine.smc == SmcConfig()
         assert spec.walk == EnvironmentWalk()
+
+
+def hand_record(cycle, error_bound=None, b_w=None, b_worst=None):
+    """A cycle record with the given bound and oracle spread; the other cells are placeholders."""
+    bound = None
+    if error_bound is not None:
+        bound = DecisionErrorBound(
+            confidence_term=0.1, risk_margin=1.0, adjusted_risk_margin=1.0, expected_risk_upper=1.0,
+            survival_prob=0.5, n_feasible=1, best_prediction=0.0, cutoff=1.0,
+            error_bound=error_bound, min_probability=0.5,
+        )
+    measured = None if b_w is None else 0.0
+    return CycleRecord(
+        cycle=cycle, reduced_size=1, cutoff=None if bound is None else 1.0, b_hat_w=None if bound is None else 0.0,
+        selected_id=0, b_r=b_w, b_w=b_w, b_worst=b_worst, measured_error=measured, bound=bound,
+        empirical_risk=1.0, bound_holds=None if bound is None or measured is None else measured <= error_bound,
+    )
+
+
+class TestSummary:
+    def test_counts_the_post_warmup_cycles_whose_bound_spans_best_to_worst(self):
+        records = [
+            hand_record(1, 50.0, b_w=1.0, b_worst=2.0),    # warm-up: not counted
+            hand_record(2, 10.0, b_w=5.0, b_worst=14.99),  # vacuous
+            hand_record(3, 10.0, b_w=5.0, b_worst=15.0),   # vacuous: the bound equals the spread
+            hand_record(4, 10.0, b_w=5.0, b_worst=15.01),  # informative
+            hand_record(5, b_w=5.0, b_worst=40.0),         # no bound
+        ]
+        assert cli.summarize_records(records, warmup_cycles=1)["vacuous_bound_cycles"] == 2
+        assert cli.summarize_records(records[:1] + records[3:], warmup_cycles=1)["vacuous_bound_cycles"] == 0
+        # without the oracle nothing is checked
+        blind = [hand_record(2, 10.0), hand_record(3, 10.0)]
+        assert cli.summarize_records(blind, warmup_cycles=1)["vacuous_bound_cycles"] is None
 
 
 class TestSelftestCommand:

@@ -142,9 +142,13 @@ class TestCycleRecords:
     def test_oracle_fields(self, records):
         for record in records:
             assert record.b_w is not None and record.b_r is not None
-            assert record.b_w <= record.b_r
+            assert record.b_w <= record.b_r <= record.b_worst
             assert record.measured_error == record.b_r - record.b_w
             assert record.measured_error >= 0.0
+        engine = AdaptationEngine(DESK, quick_config(), base_seed=8)
+        record = engine.run_cycle()
+        truths = true_expected_loss(NetworkView(DESK, engine.env))
+        assert (record.b_w, record.b_worst) == (float(truths.min()), float(truths.max()))
 
     def test_cycle_numbering(self, records):
         assert [r.cycle for r in records] == [1, 2, 3, 4, 5]
@@ -152,7 +156,7 @@ class TestCycleRecords:
     def test_evaluation_mode_off_drops_oracle_fields(self):
         records = run_experiment(DESK, quick_config(evaluation_mode=False), base_seed=404)
         for record in records:
-            assert record.b_r is None and record.b_w is None
+            assert record.b_r is None and record.b_w is None and record.b_worst is None
             assert record.measured_error is None
             assert record.bound_holds is None
         assert any(r.bound is not None for r in records)
@@ -183,19 +187,24 @@ class TestTrainingWindow:
         engine = AdaptationEngine(DESK, quick_config(window_factor=1), base_seed=5)
         engine.run_cycle()
         engine.run_cycle()
-        assert engine.window_x.shape == (256, 22)  # two warm-up sweeps, capped at 1x space
-        assert len(engine.window_y) == 256
+        rows = np.concatenate(engine.window.blocks)
+        assert rows.shape == (256, 23)  # two warm-up sweeps, capped at 1x space
+        assert len(engine.window) == 256
+        assert len(engine.window.blocks) == 1  # the first sweep left whole
         # a warm-up cycle verifies every option in id order
-        np.testing.assert_array_equal(engine.window_x, features(DESK, engine.env))
-        before, model_before = engine.window_x, engine.model
+        np.testing.assert_array_equal(rows[:, :-1], features(DESK, engine.env))
+        before, model_before = rows, engine.model
         record = engine.run_cycle()
         design = features(DESK, engine.env)
         verified = np.flatnonzero(predict_batch(model_before, design) <= record.cutoff)
         k = record.reduced_size
         assert len(verified) == k < 256
-        # the verified options' design rows are appended in id order, the oldest rows dropped
-        np.testing.assert_array_equal(engine.window_x, np.concatenate([before[k:], design[verified]]))
-        assert len(engine.window_y) == 256
+        # the verified options' design rows are appended in id order as one block, the oldest rows dropped
+        assert [len(block) for block in engine.window.blocks] == [256 - k, k]
+        kept, added = engine.window.blocks
+        np.testing.assert_array_equal(kept, before[k:])
+        np.testing.assert_array_equal(added[:, :-1], design[verified])
+        assert len(engine.window) == 256
 
     def test_window_holds_the_verifier_fractions_in_percent(self):
         engine = AdaptationEngine(DESK, quick_config(), base_seed=8)
@@ -206,7 +215,8 @@ class TestTrainingWindow:
         fractions = np.array([est.mean for _, est in verified])
         assert ((0.0 <= fractions) & (fractions <= 1.0)).all()
         percent = LOSS_DOMAIN.width * fractions
-        assert engine.window_y.tobytes() == percent.tobytes()
+        (block,) = engine.window.blocks
+        assert block[:, -1].tobytes() == percent.tobytes()
         assert record.selected_id == min(zip(percent.tolist(), ids))[1]
 
     def test_bound_uses_window_size(self):
@@ -327,8 +337,14 @@ class TestBenchmarkHooks:
     def test_traced_desk_run_fills_every_counter(self, monkeypatch):
         spans = perfbench_module(monkeypatch, "spans")
         config = quick_config(warmup_cycles=2, total_cycles=4, smc=SmcConfig(epsilon=0.05, alpha=0.1))
+        rows = 0
         with spans.installed(spans.Tracer()) as tracer:
-            run_experiment(DESK, config, base_seed=20260816)
+            engine = AdaptationEngine(DESK, config, base_seed=20260816)
+            for _ in range(config.total_cycles):
+                engine.run_cycle()
+                rows += len(engine.window)
         assert tracer.absent == []
         for counter in ("smc.estimates", "smc.samples", "netsim.sim_runs", "seeds.draws", "regression.window"):
             assert tracer.counts[counter] > 0, counter
+        # ``regression.window_mean`` reads rows per fit from the length of fit's first argument
+        assert tracer.counts["regression.window"] == rows
