@@ -179,7 +179,7 @@ class AdaptationEngine:
 
         b_r = b_w = b_worst = measured = None
         if self.config.evaluation_mode:
-            truths = true_expected_loss(view)
+            truths = LOSS_DOMAIN.width * true_expected_loss(view)  # loss in percent
             b_w = float(truths.min())
             b_worst = float(truths.max())
             b_r = float(truths[selected_id])

@@ -20,7 +20,7 @@ Both evaluations start from a ``NetworkView``, the network at one
 environment, built once per adaptation cycle. Its ``slots`` give each
 mote's link and power under every option as ``2 * link + power``:
 
-- ``true_expected_loss``: exact expected packet-loss percentage of every
+- ``true_expected_loss``: exact expected fraction of packets lost by every
   option, by propagating expected traffic through the DAG (no sampling).
   Used as the ground-truth oracle when measuring decision error.
 - ``NetworkModel``: a list of options, one stochastic period per (option,
@@ -220,8 +220,14 @@ def features(topology: NetworkTopology, env: Environment) -> np.ndarray:
 class NetworkView:
     """The network at one environment, computed once per cycle for every
     option's oracle value and model: each mote's generated packets, the
-    parent of each of its links, and the delivery probability q of each of
-    its slots (see ``slots``). Nothing in a view changes after it is built.
+    parent of each of its links, the delivery probability q of each of its
+    slots (see ``slots``), and ``most``, its own packets plus the ``most``
+    of every mote that lists it as a parent, which sizes every model's
+    Binomial tables. That is the most packets it can hold in one run under
+    any option unless two of its children share a child (a diamond): that
+    child's packets then count once per path, so a table is larger and the
+    ``MAX_MOTE_PACKETS`` check stricter, but no count differs. Nothing in a
+    view changes after it is built.
     """
 
     def __init__(self, topology: NetworkTopology, env: Environment):
@@ -237,6 +243,10 @@ class NetworkView:
                   for link in m.links for power in (0, 1))
             for m in topology.motes
         ]
+        most = [0] + self.generated  # by node id
+        for child, parent in reversed(topology.link_order):  # children before parents
+            most[parent] += most[child]
+        self.most = most[1:]
 
     def slots(self, ids: Sequence[int] | np.ndarray) -> np.ndarray:
         """Row m - 1 holds mote m's slot ``2 * link + power`` under every
@@ -251,13 +261,12 @@ class NetworkView:
 
 
 def true_expected_loss(view: NetworkView) -> np.ndarray:
-    """Exact expected packet-loss percentage of every option, entry i for
-    option id i.
+    """Exact expected fraction of packets lost by every option, entry i for id i.
 
     Closed form: the probability a packet at mote i reaches the gateway is
     reach(i) = q * reach(parent) over the slot the option picks for i,
     evaluated in ascending mote order (parents first). Loss is
-    100 * (1 - delivered/generated) over deterministic per-mote packet counts.
+    1 - delivered/generated over deterministic per-mote packet counts.
     One array pass over ``topology.slot_table`` does this for every option.
     """
     count = view.topology.option_count
@@ -270,7 +279,7 @@ def true_expected_loss(view: NetworkView) -> np.ndarray:
     delivered = 0.0  # summed mote by mote in ascending id
     for g, r in zip(view.generated, reach[1:]):
         delivered = delivered + g * r
-    return 100.0 * (1.0 - delivered / total)
+    return 1.0 - delivered / total
 
 
 # A mote's inverse-CDF table is one sorted uint64 array of keys
@@ -360,47 +369,39 @@ class NetworkModel:
     delivered), the count it delivers to its parent is Binomial(k, q). Run s
     draws that count by inverse CDF from one uniform per mote,
     ``stream_uint64(s, mote_id)``, drawn for every mote in one call per
-    batch, and processes children before parents. Per mote, the options are
-    grouped by slot, and each group's runs are looked up by
-    ``delivered_counts`` in the slot's ``binomial_keys``: off its guide (all
-    built on first use) once the model's rows times a batch's runs per row
-    reach ``_GUIDED_RUNS``, else by the search, with equal counts; 5 options
-    pay back their guides' build at 1 110 runs per row, not at 225.
-    So a count depends only on its option and seed: a batch over many
-    rows and seeds is bit-identical to batches of one row and one seed each.
+    batch, and processes children before parents. Every slot's
+    ``binomial_keys`` reach the view's largest ``most``, so two models of
+    one view build equal tables. Per mote, the options are grouped by slot,
+    and ``delivered_counts`` looks each group's runs up in the slot's table
+    (k up to the mote's ``most``): off its guide (all built on first use)
+    once the model's rows times a batch's runs per row reach
+    ``_GUIDED_RUNS``, else by the search, with equal counts; 5 options pay
+    back their guides' build at 1 110 runs per row, not at 225. So a count
+    depends only on its option and seed: a batch over many rows and seeds
+    is bit-identical to batches of one row and one seed each.
     """
 
     def __init__(self, view: NetworkView, option_ids: Sequence[int] | np.ndarray):
         slots = view.slots(option_ids)
-        generated = view.generated
+        generated, most, top = view.generated, view.most, max(view.most, default=0)
         self._generated, self.total = sum(generated), max(1, sum(generated))
         self._mote_count, self._row_count = len(generated), slots.shape[1]
+        if top > MAX_MOTE_PACKETS:
+            raise ValueError(f"mote {most.index(top) + 1} may hold {top} packets in one run, above {MAX_MOTE_PACKETS}")
 
-        # Plan rows, children before parents (parent ids are smaller by
-        # construction): (mote_id, generated, slots, groups), where slots[i]
-        # is option i's slot at the mote and groups lists (slot, parent,
-        # index, caps[slot]) of the slots that carry packets, index being
-        # that of the slot's table and guide. held[i] is the most packets the
-        # mote holds in one run of option i, inbound[m][i] the most its
-        # children pass mote m, and caps[s] the most it holds in slot s.
-        inbound = np.zeros((len(generated) + 1, slots.shape[1]), dtype=np.int64)
-        options = np.arange(slots.shape[1])
-        plan, qs, top = [], [], 0
+        # Plan every mote that can hold a packet, children before parents:
+        # (mote_id, generated, slots, size, groups), slots[i] being option
+        # i's slot there, size the keys of k up to the mote's most, and
+        # groups (slot, parent, index of the table and guide) of its slots.
+        plan, qs = [], []
         for mote_id in range(len(generated), 0, -1):
-            own, row, parents = generated[mote_id - 1], slots[mote_id - 1], view.parents[mote_id - 1]
-            held = own + inbound[mote_id]
-            inbound[np.array(parents)[row >> 1], options] += held
-            caps = np.where(row == np.arange(2 * len(parents))[:, None], held, 0).max(axis=1, initial=0).tolist()
-            if max(caps) > MAX_MOTE_PACKETS:
-                raise ValueError(f"mote {mote_id} may hold {max(caps)} packets in one run, above {MAX_MOTE_PACKETS}")
-            carrying = np.flatnonzero(caps).tolist()
-            groups = [(slot, parents[slot >> 1], len(qs) + i, caps[slot]) for i, slot in enumerate(carrying)]
-            qs += [view.qs[mote_id - 1][slot] for slot in carrying]
-            top = max([top] + caps)
-            if groups:
-                plan.append((mote_id, own, row, groups))
+            cap, parents = most[mote_id - 1], view.parents[mote_id - 1]
+            if cap:
+                groups = [(slot, parents[slot >> 1], len(qs) + slot) for slot in range(2 * len(parents))]
+                plan.append((mote_id, generated[mote_id - 1], slots[mote_id - 1], (cap + 1) * (cap + 2) // 2, groups))
+                qs += view.qs[mote_id - 1]
         self._plan, self._keys, self._top = plan, binomial_keys(qs, top), top
-        self._mote_ids = np.array([mote_id for mote_id, _, _, _ in plan], dtype=np.uint64)
+        self._mote_ids = np.array([mote_id for mote_id, *_ in plan], dtype=np.uint64)
 
     @cached_property
     def _guides(self) -> np.ndarray:
@@ -415,14 +416,13 @@ class NetworkModel:
         arrivals = np.zeros((self._mote_count + 1,) + seeds.shape, dtype=np.uint64)
         guides = self._guides if self._row_count * seeds.shape[-1] >= _GUIDED_RUNS else [None] * len(self._keys)
         shift, tables = np.uint64(_KEY_SHIFT), self._keys
-        for (mote_id, generated, slots, groups), mote_uniforms in zip(self._plan, uniforms):
+        for (mote_id, generated, slots, size, groups), mote_uniforms in zip(self._plan, uniforms):
             keys = ((arrivals[mote_id] + generated) << shift) | mote_uniforms
             active = slots[rows]
-            for slot, parent, index, cap in groups:
+            for slot, parent, index in groups:
                 members = np.flatnonzero(active == slot)
                 if len(members):
-                    table = tables[index, : (cap + 1) * (cap + 2) // 2]  # a search needs only k up to cap
-                    arrivals[parent, members] += delivered_counts(table, guides[index], keys[members])
+                    arrivals[parent, members] += delivered_counts(tables[index, :size], guides[index], keys[members])
         return (self._generated - arrivals[0]).astype(np.int64)
 
 

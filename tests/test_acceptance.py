@@ -38,6 +38,7 @@ from adaptlab import (
     vc_dimension_linear,
 )
 from adaptlab.cli import main
+from adaptlab.engine import LOSS_DOMAIN
 from helpers import one_block_window
 
 
@@ -192,7 +193,7 @@ def test_criterion_6_simulator_matches_analytic_loss(capsys):
                 load=tuple(float(v) for v in rng.uniform(0.5, 2.0, topology.mote_count)),
             )
             view = NetworkView(topology, env)
-            analytic = float(true_expected_loss(view)[option_id])
+            analytic = LOSS_DOMAIN.width * float(true_expected_loss(view)[option_id])
             model = NetworkModel(view, [option_id])
             lost = model.simulate_batch(np.array([0]), seeds[None, :])[0]
             monte_carlo = 100.0 * float(np.mean(lost / model.total))

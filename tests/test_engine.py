@@ -147,7 +147,7 @@ class TestCycleRecords:
             assert record.measured_error >= 0.0
         engine = AdaptationEngine(DESK, quick_config(), base_seed=8)
         record = engine.run_cycle()
-        truths = true_expected_loss(NetworkView(DESK, engine.env))
+        truths = LOSS_DOMAIN.width * true_expected_loss(NetworkView(DESK, engine.env))
         assert (record.b_w, record.b_worst) == (float(truths.min()), float(truths.max()))
 
     def test_cycle_numbering(self, records):
@@ -292,8 +292,8 @@ class TestInLoopVerifier:
 
         def paired_truth(view):
             truths = true_expected_loss(view)
-            kappa = LOSS_DOMAIN.width * config.smc.epsilon
-            outcomes.extend(abs(LOSS_DOMAIN.width * est.mean - truths[oid]) <= kappa for oid, est in verified)
+            percent, kappa = LOSS_DOMAIN.width * truths, LOSS_DOMAIN.width * config.smc.epsilon
+            outcomes.extend(abs(LOSS_DOMAIN.width * est.mean - percent[oid]) <= kappa for oid, est in verified)
             verified.clear()
             return truths
 

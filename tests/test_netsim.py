@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from adaptlab import netsim
-from adaptlab.engine import AdaptationEngine, EngineConfig
+from adaptlab.engine import LOSS_DOMAIN, AdaptationEngine, EngineConfig
 from adaptlab.netsim import (
     MAX_MOTE_PACKETS,
     Environment,
@@ -54,7 +54,8 @@ def reference_loss(topology, env, option_id, pinned_q=None):
     """The oracle for one option as a plain loop over the topology's links:
     bit i of the id is mote i+1's power, then one bit per two-parent mote
     (1 picks its first-listed link); reach(mote) = q * reach(parent), parents
-    first, and the delivered packets are added mote by mote."""
+    first, and the delivered packets are added mote by mote; returns the
+    fraction lost."""
     generated = [max(0, round(m.rate * env.load[m.mote_id - 1])) for m in topology.motes]
     total = sum(generated)
     if total == 0:
@@ -77,7 +78,7 @@ def reference_loss(topology, env, option_id, pinned_q=None):
     delivered = 0.0
     for g, r in zip(generated, reach[1:]):
         delivered = delivered + g * r
-    return 100.0 * (1.0 - delivered / total)
+    return 1.0 - delivered / total
 
 
 def reference_keys(q, cap):
@@ -163,6 +164,19 @@ def formula_slots(topology, ids):
     slots = bits[: topology.mote_count].copy()
     slots[[mote_id - 1 for mote_id in topology.split_motes]] += 2 - 2 * bits[topology.mote_count :]
     return slots
+
+
+def most_held(topology, generated):
+    """The most packets each mote holds in one run over every option id:
+    each option's traffic propagated children first along its route."""
+    ids = np.arange(topology.option_count)
+    slots = formula_slots(topology, ids)
+    held = np.zeros((topology.mote_count + 1, topology.option_count), dtype=np.int64)
+    for mote in reversed(topology.motes):
+        held[mote.mote_id] += generated[mote.mote_id - 1]
+        parents = np.array([link.parent for link in mote.links])[slots[mote.mote_id - 1] >> 1]
+        held[parents, ids] += held[mote.mote_id]
+    return held[1:].max(axis=1).tolist()
 
 
 class TestTopologyTables:
@@ -257,7 +271,7 @@ class TestAnalyticOracle:
         topo = one_hop_topology(rate=1)
         env = initial_environment(topo)
         for q in (0.25, 0.5, 0.9):
-            got = true_expected_loss(pinned(NetworkView(topo, env), q))[0]
+            got = LOSS_DOMAIN.width * true_expected_loss(pinned(NetworkView(topo, env), q))[0]
             assert got == pytest.approx(100.0 * (1.0 - q), rel=1e-12)
 
     def test_zero_traffic_is_zero_loss(self):
@@ -280,7 +294,7 @@ class TestAnalyticOracle:
         view = NetworkView(topo, env)
         direct, relayed = 0b1_01, 0b0_01
         assert [view.parents[1][s >> 1] for s in view.slots([direct, relayed])[1]] == [0, 1]
-        losses = true_expected_loss(view)
+        losses = LOSS_DOMAIN.width * true_expected_loss(view)
         assert losses[direct] == pytest.approx(100.0 * (1.0 - (3 * q1 + 4 * q20) / 7), rel=1e-12)
         assert losses[relayed] == pytest.approx(100.0 * (1.0 - (3 * q1 + 4 * q21 * q1) / 7), rel=1e-12)
 
@@ -288,7 +302,7 @@ class TestAnalyticOracle:
         env = initial_environment(DESK)
         losses = true_expected_loss(NetworkView(DESK, env))
         assert losses.dtype == np.float64 and losses.shape == (256,)
-        assert np.all((0.0 <= losses) & (losses <= 100.0))
+        assert np.all((0.0 <= losses) & (losses <= 1.0))
         assert np.array_equal(losses, true_expected_loss(NetworkView(DESK, env)))
 
     def test_raising_all_powers_weakly_reduces_loss(self):
@@ -358,7 +372,7 @@ class TestSimulation:
         for oid in rng.integers(0, 256, size=3):
             lost = simulate(view, int(oid), seed_stream(int(oid), 50_000))
             mc = 100.0 * float((lost / sum(view.generated)).mean())
-            truth = true_expected_loss(view)[oid]
+            truth = LOSS_DOMAIN.width * true_expected_loss(view)[oid]
             assert abs(mc - truth) < 0.4  # ~5 sigma at this sample size
 
     def test_one_hop_lost_counts_are_binomial(self):
@@ -397,7 +411,7 @@ class TestSimulation:
         assert np.all(simulate(pinned(NetworkView(topo, env), 1.0), 0, seed_stream(8, 50)) == 0)
         view = pinned(NetworkView(topo, env), 0.8)
         mc = 100.0 * float((simulate(view, 0, seed_stream(9, 50_000)) / 3).mean())
-        assert abs(mc - true_expected_loss(view)[0]) < 0.6  # ~5 sigma at this sample size
+        assert abs(mc - LOSS_DOMAIN.width * true_expected_loss(view)[0]) < 0.6  # ~5 sigma at this sample size
 
     def test_one_draw_per_mote_and_run(self, monkeypatch):
         drawn = []
@@ -417,6 +431,17 @@ class TestSimulation:
         topo = one_hop_topology(rate=MAX_MOTE_PACKETS + 1)
         with pytest.raises(ValueError, match="packets"):
             NetworkModel(NetworkView(topo, initial_environment(topo)), [0])
+        # Each child's own packets fit, but mote 1 relays both children's.
+        half = MAX_MOTE_PACKETS // 2 + 1
+        topo = NetworkTopology(
+            motes=(
+                Mote(1, rate=0, links=(Link(0, 5.0),)),
+                Mote(2, rate=half, links=(Link(1, 5.0),)),
+                Mote(3, rate=half, links=(Link(1, 5.0),)),
+            ),
+        )
+        with pytest.raises(ValueError, match=f"mote 1 may hold {2 * half} packets"):
+            NetworkModel(NetworkView(topo, initial_environment(topo)), [0])
         topo = one_hop_topology(rate=MAX_MOTE_PACKETS)
         lost = simulate(pinned(NetworkView(topo, initial_environment(topo)), 0.0), 0, seed_stream(6, 20))
         assert np.all(lost == MAX_MOTE_PACKETS)
@@ -435,11 +460,10 @@ class TestSimulation:
 
 class TestNetworkView:
     def test_one_model_of_all_options_equals_one_model_per_option(self):
-        # The model of every option builds each slot's table up to the most
-        # packets any option's mote holds in it; a model of one option, only
-        # up to what that option's motes hold. The all-options batch reads
-        # its counts off the guides, each option's alone searches its tables.
-        # Fewer runs on full keep the all-options batch small.
+        # Both build every slot's table up to the view's largest most. The
+        # all-options batch reads its counts off the guides, each option's
+        # alone searches its tables. Fewer runs on full keep the all-options
+        # batch small.
         for topo, runs in ((DESK, 400), (FULL, 50)):
             env = initial_environment(topo)
             for step in range(5):
@@ -450,6 +474,52 @@ class TestNetworkView:
             together = NetworkModel(view, ids).simulate_batch(ids, seeds)
             for oid in ids.tolist():
                 assert np.array_equal(together[oid], simulate(view, oid, seeds[0])), (topo.option_count, oid)
+
+    def test_most_is_the_most_any_option_holds(self):
+        # No two children of a mote share a child on either preset, so most
+        # is exact there.
+        walk = EnvironmentWalk(load_step=0.3)
+        for topo in (DESK, FULL):
+            env, seen = initial_environment(topo), set()
+            for step in range(40):
+                env = environment_step(env, walk, 5200 + step)
+                view = NetworkView(topo, env)
+                assert view.most == most_held(topo, view.generated), (topo.option_count, step)
+                seen.add(tuple(view.most))
+            assert len(seen) >= 20, topo.option_count  # the walk moved the loads
+
+    def test_most_bounds_a_diamond_and_changes_no_count(self):
+        # Mote 4 relays through mote 2 or mote 3, and both relay through
+        # mote 1: most counts mote 4's packet at both, so mote 1's is 5 where
+        # at most 4 packets reach it. Every row of the all-options model,
+        # searched and guided, still equals its option simulated alone.
+        topo = NetworkTopology(
+            motes=(
+                Mote(1, rate=1, links=(Link(0, 5.0),)),
+                Mote(2, rate=1, links=(Link(1, 5.0),)),
+                Mote(3, rate=1, links=(Link(1, 4.5),)),
+                Mote(4, rate=1, links=(Link(2, 5.5), Link(3, 4.0))),
+            ),
+        )
+        view = NetworkView(topo, initial_environment(topo))
+        assert view.most == [5, 2, 2, 1] and most_held(topo, view.generated) == [4, 2, 2, 1]
+        ids = np.arange(topo.option_count)
+        guided = netsim._GUIDED_RUNS // topo.option_count
+        for runs in (guided - 1, guided):
+            model = NetworkModel(view, ids)
+            seeds = np.stack([seed_stream(90 + oid, runs) for oid in ids.tolist()])
+            together = model.simulate_batch(ids, seeds)
+            assert ("_guides" in vars(model)) == (runs == guided) and together.any()
+            for oid in ids.tolist():
+                assert np.array_equal(together[oid], simulate(view, oid, seeds[oid])), (runs, oid)
+
+    def test_models_of_one_view_build_equal_tables(self):
+        for topo in (DESK, FULL):
+            view = NetworkView(topo, environment_step(initial_environment(topo), EnvironmentWalk(), 4500))
+            ids = ([45], [3, 200, 255], np.arange(topo.option_count))
+            first, *others = (NetworkModel(view, option_ids) for option_ids in ids)
+            for model in others:
+                assert np.array_equal(model._keys, first._keys) and np.array_equal(model._guides, first._guides)
 
     def test_binomial_keys_match_the_scalar_rule(self):
         qs = [0.0, 0.005, 0.37, 0.5, 0.8123, 0.995, 1.0]
@@ -592,7 +662,7 @@ class TestPinnedOutputs:
             assert model.simulate_batch(np.array([0]), seeds[None, :])[0].tolist() == lost, oid
 
     def test_oracle_values(self):
-        losses = true_expected_loss(NetworkView(DESK, self.ENV))
+        losses = LOSS_DOMAIN.width * true_expected_loss(NetworkView(DESK, self.ENV))
         for oid, (_, loss) in self.EXPECTED.items():
             assert losses[oid] == loss, oid
 
