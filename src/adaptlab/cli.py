@@ -109,8 +109,8 @@ class ExperimentSpec:
 
 
 # JSON values a config field accepts, by the type of the field's default.
-_ACCEPTED = {int: (int,), float: (int, float), bool: (bool,)}
-_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "a boolean"}
+_ACCEPTED = {int: (int,), float: (int, float)}
+_KIND_NAMES = {int: "an integer", float: "a finite number"}
 
 
 def section_defaults(cls: type) -> dict:
@@ -137,7 +137,11 @@ def _field_value(value, default, where: str):
 # Keys of deleted settings that older configs still carry: each is accepted
 # only as the one value its setting allowed, and then dropped.
 # (section, key) -> (JSON types, value)
-_PINNED = {("engine", "workers"): ((int,), 1), ("smc", "kappa_scale"): ((int, float), LOSS_DOMAIN.width)}
+_PINNED = {
+    ("engine", "workers"): ((int,), 1),
+    ("engine", "evaluation_mode"): ((bool,), True),
+    ("smc", "kappa_scale"): ((int, float), LOSS_DOMAIN.width),
+}
 
 
 def _section(data: dict, name: str, cls: type, **nested):
@@ -149,7 +153,7 @@ def _section(data: dict, name: str, cls: type, **nested):
     _check_keys(section, [*defaults, *pinned], name)
     for key, (types, value) in pinned.items():
         if type(section[key]) not in types or section[key] != value:
-            raise ValueError(f"{name}.{key} must be {value}, the one value of a deleted setting")
+            raise ValueError(f"{name}.{key} must be {json.dumps(value)}, the one value of a deleted setting")
     return cls(**{k: _field_value(v, defaults[k], f"{name}.{k}") for k, v in section.items() if k not in pinned}, **nested)
 
 
@@ -218,11 +222,12 @@ def _mean(values: list) -> float | None:
 def summarize_records(records: list[CycleRecord], warmup_cycles: int) -> dict:
     """Counts and statistics of the post-warm-up cycles; a statistic over no values is null."""
     post = [r for r in records if r.cycle > warmup_cycles]
-    errors = [r.measured_error for r in post if r.measured_error is not None]
-    probs = [r.bound.min_probability for r in post if r.bound is not None]
-    holds = [r.bound_holds for r in post if r.bound_holds is not None]  # bounds checked against the oracle
+    errors = [r.measured_error for r in post]
+    bounded = [r for r in post if r.bound is not None]
+    probs = [r.bound.min_probability for r in bounded]
+    holds = [r.bound_holds for r in bounded]
     # a bound at least the best-to-worst spread would accept any option
-    vacuous = [r.bound.error_bound >= r.b_worst - r.b_w for r in post if r.bound_holds is not None]
+    vacuous = [r.bound.error_bound >= r.b_worst - r.b_w for r in bounded]
     mean = _mean(errors)
     variance = _mean([(e - mean) ** 2 for e in errors])
     return _sig_floats({
@@ -324,11 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     selftest = sub.add_parser("smc-selftest", help="coverage experiment against a known-mean model")
-    selftest.add_argument("--epsilon", type=float, default=0.02, help="approximation half-width (default 0.02)")
-    selftest.add_argument("--alpha", type=float, default=0.05, help="significance (default 0.05)")
-    selftest.add_argument("--mean", type=float, default=0.5, help="true mean of the test model (default 0.5)")
-    selftest.add_argument("--repetitions", type=int, default=500, help="independent estimates to run (default 500)")
-    selftest.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    selftest.add_argument("--epsilon", type=float, default=0.02, help="approximation half-width (default %(default)s)")
+    selftest.add_argument("--alpha", type=float, default=0.05, help="significance (default %(default)s)")
+    selftest.add_argument("--mean", type=float, default=0.5, help="true mean of the test model (default %(default)s)")
+    selftest.add_argument("--repetitions", type=int, default=500,
+                          help="independent estimates to run (default %(default)s)")
+    selftest.add_argument("--seed", type=int, default=0, help="base seed (default %(default)s)")
     selftest.set_defaults(func=cmd_smc_selftest)
 
     return parser

@@ -8,9 +8,9 @@ samples, and computes the decision-error bound for the cycle. During the
 warm-up phase there is no model yet, so every option is verified and the
 model is trained on the full space's labels.
 
-In evaluation mode each cycle also consults the simulator's analytic
-oracle for the true quality of the selected option and of the true best
-option, giving a measured decision error to hold against the bound.
+Every cycle also consults the simulator's analytic oracle for the true
+quality of the selected option and of the true best option, giving a
+measured decision error to hold against the bound.
 
 Everything is deterministic per (topology, config, walk, base seed):
 per-cycle seeds for the environment walk and for SMC verification are
@@ -67,7 +67,6 @@ class EngineConfig:
     total_cycles: int = 200
     eta: float = 0.05
     smc: SmcConfig = field(default_factory=SmcConfig)
-    evaluation_mode: bool = True
     window_factor: int = 10
 
     def __post_init__(self) -> None:
@@ -85,8 +84,8 @@ class CycleRecord:
     """Everything one adaptation cycle decided and observed.
 
     Fields that only exist after warm-up (cutoff, b_hat_w, bound,
-    bound_holds) are None during warm-up; the oracle fields (b_r, b_w,
-    b_worst, measured_error) are None outside evaluation mode.
+    bound_holds) are None during warm-up; bound and bound_holds also in a
+    cycle where the bound does not apply (see ``_cycle_bound``).
     """
 
     cycle: int
@@ -94,12 +93,12 @@ class CycleRecord:
     cutoff: float | None
     b_hat_w: float | None
     selected_id: int
-    b_r: float | None
-    b_w: float | None
-    b_worst: float | None
-    measured_error: float | None
+    b_r: float
+    b_w: float
+    b_worst: float
+    measured_error: float
     bound: DecisionErrorBound | None
-    empirical_risk: float | None
+    empirical_risk: float
     bound_holds: bool | None
 
 
@@ -177,16 +176,12 @@ class AdaptationEngine:
         if not warmup:
             bound = self._cycle_bound(risk, predictions, best_prediction, cut)
 
-        b_r = b_w = b_worst = measured = None
-        if self.config.evaluation_mode:
-            truths = LOSS_DOMAIN.width * true_expected_loss(view)  # loss in percent
-            b_w = float(truths.min())
-            b_worst = float(truths.max())
-            b_r = float(truths[selected_id])
-            measured = b_r - b_w
-        holds = None
-        if bound is not None and measured is not None:
-            holds = measured <= bound.error_bound
+        truths = LOSS_DOMAIN.width * true_expected_loss(view)  # loss in percent
+        b_w = float(truths.min())
+        b_worst = float(truths.max())
+        b_r = float(truths[selected_id])
+        measured = b_r - b_w
+        holds = None if bound is None else measured <= bound.error_bound
 
         self.completed_cycles = t
         return CycleRecord(

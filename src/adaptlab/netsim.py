@@ -13,12 +13,12 @@ transmission power - and one per mote with two parents - which of its two
 links carries all of its generated and relayed traffic. So every mote
 forwards over exactly one link. Bit i of an option id is the i-th of these
 choices, so option ids are stable and bijective. The topology decodes every
-id once, into its ``option_table`` and ``slot_table``; the regressor's
-``features``, the view's ``slots`` and the oracle all read them.
+id once, into its ``option_table`` and ``slot_table``, which gives each
+mote's link and power under every option as ``2 * link + power``; the
+regressor's ``features``, the model and the oracle all read them.
 
 Both evaluations start from a ``NetworkView``, the network at one
-environment, built once per adaptation cycle. Its ``slots`` give each
-mote's link and power under every option as ``2 * link + power``:
+environment, built once per adaptation cycle:
 
 - ``true_expected_loss``: exact expected fraction of packets lost by every
   option, by propagating expected traffic through the DAG (no sampling).
@@ -91,7 +91,7 @@ class NetworkTopology:
                 raise ValueError(f"motes must be numbered 1..K in order, got id {mote.mote_id} at position {index}")
             if not 1 <= len(mote.links) <= 2:
                 raise ValueError(f"mote {mote.mote_id} must have 1 or 2 parents")
-            parents = [link.parent for link in mote.links]
+            parents = self.parents[index]
             if len(set(parents)) != len(parents):
                 raise ValueError(f"mote {mote.mote_id} lists a duplicate parent")
             for parent in parents:
@@ -120,6 +120,11 @@ class NetworkTopology:
         return tuple(m.mote_id for m in self.motes if len(m.links) == 2)
 
     @cached_property
+    def parents(self) -> tuple[tuple[int, ...], ...]:
+        """Per mote (ascending id): the parent of each link in declared order."""
+        return tuple(tuple(link.parent for link in m.links) for m in self.motes)
+
+    @cached_property
     def option_count(self) -> int:
         return 2 ** (self.mote_count + len(self.split_motes))
 
@@ -136,7 +141,10 @@ class NetworkTopology:
 
     @cached_property
     def slot_table(self) -> np.ndarray:
-        """Read-only ``NetworkView.slots`` of every option id, column i for id i."""
+        """Read-only slots of every option id, column i for id i: row m - 1
+        holds mote m's slot ``2 * link + power``, the power its power bit sets
+        and the link (in declared order) the option routes all the mote's
+        traffic over - split bit 1 picks the first, 0 the second."""
         slots = self.option_table[: self.mote_count].copy()
         slots[[mote_id - 1 for mote_id in self.split_motes]] += 2 - 2 * self.option_table[self.mote_count :]
         slots.flags.writeable = False
@@ -220,14 +228,14 @@ def features(topology: NetworkTopology, env: Environment) -> np.ndarray:
 class NetworkView:
     """The network at one environment, computed once per cycle for every
     option's oracle value and model: each mote's generated packets, the
-    parent of each of its links, the delivery probability q of each of its
-    slots (see ``slots``), and ``most``, its own packets plus the ``most``
-    of every mote that lists it as a parent, which sizes every model's
-    Binomial tables. That is the most packets it can hold in one run under
-    any option unless two of its children share a child (a diamond): that
-    child's packets then count once per path, so a table is larger and the
-    ``MAX_MOTE_PACKETS`` check stricter, but no count differs. Nothing in a
-    view changes after it is built.
+    delivery probability q of each of its slots (see
+    ``NetworkTopology.slot_table``), and ``most``, its own packets plus the
+    ``most`` of every mote that lists it as a parent, which sizes every
+    model's Binomial tables. That is the most packets it can hold in one run
+    under any option unless two of its children share a child (a diamond):
+    that child's packets then count once per path, so a table is larger and
+    the ``MAX_MOTE_PACKETS`` check stricter, but no count differs. Nothing
+    in a view changes after it is built.
     """
 
     def __init__(self, topology: NetworkTopology, env: Environment):
@@ -235,9 +243,7 @@ class NetworkView:
         # round() is banker's rounding; fine, it just needs to be deterministic.
         self.generated = [max(0, round(m.rate * env.load[m.mote_id - 1])) for m in topology.motes]
         interference = dict(zip(topology.link_order, env.interference))
-        # Per mote (ascending id): the parent of each link in declared order
-        # and the q of each slot.
-        self.parents = [tuple(link.parent for link in m.links) for m in topology.motes]
+        # Per mote (ascending id): the q of each slot.
         self.qs = [
             tuple(link_delivery_prob(link.base_snr, power, interference[m.mote_id, link.parent])
                   for link in m.links for power in (0, 1))
@@ -247,17 +253,6 @@ class NetworkView:
         for child, parent in reversed(topology.link_order):  # children before parents
             most[parent] += most[child]
         self.most = most[1:]
-
-    def slots(self, ids: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Row m - 1 holds mote m's slot ``2 * link + power`` under every
-        option id: the power its power bit sets, and the link (in declared
-        order) the option routes all the mote's traffic over - split bit 1
-        picks the first, 0 the second (see ``NetworkTopology.option_table``).
-        A fresh array, gathered from ``topology.slot_table``."""
-        ids, count = np.asarray(ids, dtype=np.intp), self.topology.option_count
-        if ids.size and not 0 <= ids.min() <= ids.max() < count:
-            raise ValueError(f"option ids must lie in [0, {count})")
-        return self.topology.slot_table[:, ids]
 
 
 def true_expected_loss(view: NetworkView) -> np.ndarray:
@@ -274,7 +269,7 @@ def true_expected_loss(view: NetworkView) -> np.ndarray:
     if total == 0:
         return np.zeros(count)
     reach = [np.ones(count)]  # by node id; the gateway's is 1
-    for slots, qs, parents in zip(view.topology.slot_table, view.qs, view.parents):
+    for slots, qs, parents in zip(view.topology.slot_table, view.qs, view.topology.parents):
         reach.append(np.array(qs)[slots] * np.where(slots >= 2, reach[parents[-1]], reach[parents[0]]))
     delivered = 0.0  # summed mote by mote in ascending id
     for g, r in zip(view.generated, reach[1:]):
@@ -382,7 +377,10 @@ class NetworkModel:
     """
 
     def __init__(self, view: NetworkView, option_ids: Sequence[int] | np.ndarray):
-        slots = view.slots(option_ids)
+        ids, count = np.asarray(option_ids, dtype=np.intp), view.topology.option_count
+        if ids.size and not 0 <= ids.min() <= ids.max() < count:
+            raise ValueError(f"option ids must lie in [0, {count})")
+        slots = view.topology.slot_table[:, ids]
         generated, most, top = view.generated, view.most, max(view.most, default=0)
         self._generated, self.total = sum(generated), max(1, sum(generated))
         self._mote_count, self._row_count = len(generated), slots.shape[1]
@@ -395,7 +393,7 @@ class NetworkModel:
         # groups (slot, parent, index of the table and guide) of its slots.
         plan, qs = [], []
         for mote_id in range(len(generated), 0, -1):
-            cap, parents = most[mote_id - 1], view.parents[mote_id - 1]
+            cap, parents = most[mote_id - 1], view.topology.parents[mote_id - 1]
             if cap:
                 groups = [(slot, parents[slot >> 1], len(qs) + slot) for slot in range(2 * len(parents))]
                 plan.append((mote_id, generated[mote_id - 1], slots[mote_id - 1], (cap + 1) * (cap + 2) // 2, groups))

@@ -212,13 +212,11 @@ def test_criterion_8_cutoff_rule_worked_examples(capsys):
         info["cutoff([4,8,12,40])"] = cutoff([4.0, 8.0, 12.0, 40.0])
 
 
-def test_criterion_7_end_to_end_bound_validation(capsys, tmp_path):
-    config = {
-        "topology": "desk",
-        "seed": 20260816,
-        "engine": {"warmup_cycles": 30, "total_cycles": 200},
-        "smc": {"epsilon": 0.01, "alpha": 0.1, "kappa_scale": 100.0},
-    }
+def replayed_run_within_band(capsys, tmp_path, config: dict, cycles: int, post_cycles: int, info: dict) -> None:
+    """Run the config twice through ``adaptlab run``, require byte-identical
+    output, sound rows and a bound-violation rate within a three-sigma
+    binomial band of the mean reported ``min_probability``, and put the
+    headline numbers in ``info``."""
     paths = []
     for name in ("first", "second"):
         payload = dict(config, output_csv=str(tmp_path / f"{name}.csv"))
@@ -226,36 +224,61 @@ def test_criterion_7_end_to_end_bound_validation(capsys, tmp_path):
         path.write_text(json.dumps(payload))
         paths.append(path)
 
+    started = time.monotonic()
+    assert main(["run", str(paths[0])]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert main(["run", str(paths[1])]) == 0
+    assert json.loads(capsys.readouterr().out) == summary
+    first = (tmp_path / "first.csv").read_bytes()
+    assert first == (tmp_path / "second.csv").read_bytes()
+
+    rows = list(csv.DictReader(first.decode().splitlines()))
+    assert len(rows) == cycles
+    post = [row for row in rows if row["cutoff"] != ""]
+    assert len(post) == post_cycles
+
+    for row in rows:
+        assert float(row["measured_error"]) >= 0.0
+    for row in post:
+        assert float(row["b_hat_w"]) <= float(row["cutoff"])
+        assert row["error_bound"] != "" and row["min_probability"] != ""
+
+    holds = [row["bound_holds"] == "true" for row in post]
+    fraction = sum(holds) / len(holds)
+    mean_prob = sum(float(row["min_probability"]) for row in post) / len(post)
+    slack = 3.0 * math.sqrt(mean_prob * (1.0 - mean_prob) / len(post))
+    assert fraction >= mean_prob - slack, (fraction, mean_prob, slack)
+
+    elapsed = time.monotonic() - started
+    assert elapsed < 600.0
+    info["bound_holds"] = f"{fraction:.3f}"
+    info["mean_min_probability"] = f"{mean_prob:.3f}"
+    info["slack"] = f"{slack:.3f}"
+    info["vacuous_bound_cycles"] = f"{summary['vacuous_bound_cycles']}/{len(post)}"
+    info["seconds"] = f"{elapsed:.0f}"
+
+
+def test_criterion_7_end_to_end_bound_validation(capsys, tmp_path):
+    config = {
+        "topology": "desk",
+        "seed": 20260816,
+        "engine": {"warmup_cycles": 30, "total_cycles": 200},
+        "smc": {"epsilon": 0.01, "alpha": 0.1, "kappa_scale": 100.0},
+    }
     with criterion(capsys, 7, "full adaptation run honours the decision bound") as info:
-        started = time.monotonic()
-        assert main(["run", str(paths[0])]) == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert main(["run", str(paths[1])]) == 0
-        assert json.loads(capsys.readouterr().out) == summary
-        first = (tmp_path / "first.csv").read_bytes()
-        assert first == (tmp_path / "second.csv").read_bytes()
+        replayed_run_within_band(capsys, tmp_path, config, 200, 170, info)
 
-        rows = list(csv.DictReader(first.decode().splitlines()))
-        assert len(rows) == 200
-        post = [row for row in rows if row["cutoff"] != ""]
-        assert len(post) == 170
 
-        for row in rows:
-            assert float(row["measured_error"]) >= 0.0
-        for row in post:
-            assert float(row["b_hat_w"]) <= float(row["cutoff"])
-            assert row["error_bound"] != "" and row["min_probability"] != ""
-
-        holds = [row["bound_holds"] == "true" for row in post]
-        fraction = sum(holds) / len(holds)
-        mean_prob = sum(float(row["min_probability"]) for row in post) / len(post)
-        slack = 3.0 * math.sqrt(mean_prob * (1.0 - mean_prob) / len(post))
-        assert fraction >= mean_prob - slack, (fraction, mean_prob, slack)
-
-        elapsed = time.monotonic() - started
-        assert elapsed < 600.0
-        info["bound_holds"] = f"{fraction:.3f}"
-        info["mean_min_probability"] = f"{mean_prob:.3f}"
-        info["slack"] = f"{slack:.3f}"
-        info["vacuous_bound_cycles"] = f"{summary['vacuous_bound_cycles']}/{len(post)}"
-        info["seconds"] = f"{elapsed:.0f}"
+def test_criterion_9_full_topology_bound_validation(capsys, tmp_path):
+    # Every bound of this run is vacuous (at least the best-to-worst spread),
+    # so the criterion gates determinism and the band on the 4096-option
+    # space, not the bound's tightness.
+    config = {
+        "topology": "full",
+        "seed": 4242,
+        "engine": {"warmup_cycles": 3, "total_cycles": 63},
+        "smc": {"epsilon": 0.05, "alpha": 0.1},
+    }
+    title = "full-topology run stays in the band and replays (the gate is determinism and the band, not tightness)"
+    with criterion(capsys, 9, title) as info:
+        replayed_run_within_band(capsys, tmp_path, config, 63, 60, info)

@@ -171,9 +171,17 @@ class TestRunCommand:
         assert warm[10] != ""
         assert post[2] != "" and post[8] != "" and post[11] in ("true", "false")
         summary = json.loads(capsys.readouterr().out)
+        assert list(summary) == [
+            "cycles", "warmup_cycles", "post_warmup_cycles", "bound_applicable_cycles",
+            "min_measured_error", "max_measured_error", "mean_measured_error", "std_measured_error",
+            "bound_holds_fraction", "vacuous_bound_cycles", "mean_min_probability",
+        ]
         assert summary["cycles"] == 4
         assert summary["post_warmup_cycles"] == 2
         assert summary["bound_holds_fraction"] is not None
+        bounded = [cells for cells in (line.split(",") for line in lines[3:]) if cells[8] != ""]
+        assert summary["bound_applicable_cycles"] == len(bounded) > 0
+        assert summary["mean_min_probability"] == cli._sig(math.fsum(float(c[9]) for c in bounded) / len(bounded))
 
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         first, _ = write_config(tmp_path, name="a.json", output_csv=str(tmp_path / "a.csv"))
@@ -244,12 +252,25 @@ class TestRunCommand:
             ("engine", "eta", 10**400),
             ("engine", "warmup_cycles", 2.0),
             ("engine", "evaluation_mode", 1),
+            ("engine", "evaluation_mode", False),
+            ("engine", "evaluation_mode", "true"),
             ("walk", "interference_step", "0.5"),
             ("walk", "load_step", math.inf),
         ):
             config_path, _ = write_config(tmp_path, **{section: {key: bad}})
             assert main(["run", str(config_path)]) == 2
             assert f"{section}.{key} must be" in capsys.readouterr().err
+        # a pinned key's message spells its one value as JSON
+        for section, key, bad, value in (
+            ("engine", "workers", 2, "1"),
+            ("engine", "evaluation_mode", False, "true"),
+            ("smc", "kappa_scale", 99.0, "100.0"),
+        ):
+            config_path, _ = write_config(tmp_path, **{section: {key: bad}})
+            assert main(["run", str(config_path)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {section}.{key} must be {value}, the one value of a deleted setting\n"
+            )
 
     def test_rejects_unknown_topology(self, tmp_path, capsys):
         for bad in ("mesh", ["desk"]):
@@ -261,32 +282,6 @@ class TestRunCommand:
         assert main(["run", str(tmp_path / "missing.json")]) == 2
         (tmp_path / "broken.json").write_text("{not json")
         assert main(["run", str(tmp_path / "broken.json")]) == 2
-
-    def test_disabling_evaluation_drops_oracle_columns(self, tmp_path, capsys):
-        config_path, _ = write_config(
-            tmp_path,
-            engine={"warmup_cycles": 2, "total_cycles": 4, "evaluation_mode": False},
-        )
-        assert main(["run", str(config_path)]) == 0
-        rows = (tmp_path / "out.csv").read_text().splitlines()[1:]
-        for row in rows:
-            cells = row.split(",")
-            assert cells[5] == "" and cells[6] == "" and cells[7] == "" and cells[11] == ""
-        post = rows[-1].split(",")
-        assert post[8] != "" and post[9] != ""
-        summary = json.loads(capsys.readouterr().out)
-        assert list(summary) == [
-            "cycles", "warmup_cycles", "post_warmup_cycles", "bound_applicable_cycles",
-            "min_measured_error", "max_measured_error", "mean_measured_error", "std_measured_error",
-            "bound_holds_fraction", "vacuous_bound_cycles", "mean_min_probability",
-        ]
-        # a bound applies without the oracle; only the checks against it are missing
-        bounded = [cells for cells in (row.split(",") for row in rows[2:]) if cells[8] != ""]
-        assert summary["bound_applicable_cycles"] == len(bounded) > 0
-        assert summary["mean_min_probability"] == cli._sig(math.fsum(float(c[9]) for c in bounded) / len(bounded))
-        for key in ("bound_holds_fraction", "vacuous_bound_cycles", "min_measured_error", "max_measured_error",
-                    "mean_measured_error", "std_measured_error"):
-            assert summary[key] is None, key
 
     def test_rejects_one_path_for_both_outputs(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -404,11 +399,13 @@ class TestRunCommand:
         assert not (tmp_path / "out.csv").exists()
 
     def test_pinned_keys_load_at_their_one_value(self, tmp_path):
-        """engine.workers and smc.kappa_scale name deleted settings; older
-        configs may still set each to the one value it allowed, which
-        changes nothing. An integer 100 is that number too."""
+        """engine.workers, engine.evaluation_mode and smc.kappa_scale name
+        deleted settings; older configs may still set each to the one value
+        it allowed, which changes nothing. An integer 100 is that number too."""
         engine = {"warmup_cycles": 2, "total_cycles": 4}
-        config_path, _ = write_config(tmp_path, engine={**engine, "workers": 1}, smc={"epsilon": 0.1, "kappa_scale": 100})
+        config_path, _ = write_config(
+            tmp_path, engine={**engine, "workers": 1, "evaluation_mode": True}, smc={"epsilon": 0.1, "kappa_scale": 100}
+        )
         pinned = load_experiment_config(str(config_path))
         config_path, _ = write_config(tmp_path, engine=engine, smc={"epsilon": 0.1})
         assert pinned == load_experiment_config(str(config_path))
@@ -444,7 +441,7 @@ class TestRunCommand:
         assert spec.walk == EnvironmentWalk()
 
 
-def hand_record(cycle, error_bound=None, b_w=None, b_worst=None):
+def hand_record(cycle, error_bound=None, *, b_w, b_worst):
     """A cycle record with the given bound and oracle spread; the other cells are placeholders."""
     bound = None
     if error_bound is not None:
@@ -453,11 +450,10 @@ def hand_record(cycle, error_bound=None, b_w=None, b_worst=None):
             survival_prob=0.5, n_feasible=1, best_prediction=0.0, cutoff=1.0,
             error_bound=error_bound, min_probability=0.5,
         )
-    measured = None if b_w is None else 0.0
     return CycleRecord(
         cycle=cycle, reduced_size=1, cutoff=None if bound is None else 1.0, b_hat_w=None if bound is None else 0.0,
-        selected_id=0, b_r=b_w, b_w=b_w, b_worst=b_worst, measured_error=measured, bound=bound,
-        empirical_risk=1.0, bound_holds=None if bound is None or measured is None else measured <= error_bound,
+        selected_id=0, b_r=b_w, b_w=b_w, b_worst=b_worst, measured_error=0.0, bound=bound,
+        empirical_risk=1.0, bound_holds=None if bound is None else 0.0 <= error_bound,
     )
 
 
@@ -472,9 +468,6 @@ class TestSummary:
         ]
         assert cli.summarize_records(records, warmup_cycles=1)["vacuous_bound_cycles"] == 2
         assert cli.summarize_records(records[:1] + records[3:], warmup_cycles=1)["vacuous_bound_cycles"] == 0
-        # without the oracle nothing is checked
-        blind = [hand_record(2, 10.0), hand_record(3, 10.0)]
-        assert cli.summarize_records(blind, warmup_cycles=1)["vacuous_bound_cycles"] is None
 
 
 class TestSelftestCommand:

@@ -153,14 +153,6 @@ class TestCycleRecords:
     def test_cycle_numbering(self, records):
         assert [r.cycle for r in records] == [1, 2, 3, 4, 5]
 
-    def test_evaluation_mode_off_drops_oracle_fields(self):
-        records = run_experiment(DESK, quick_config(evaluation_mode=False), base_seed=404)
-        for record in records:
-            assert record.b_r is None and record.b_w is None and record.b_worst is None
-            assert record.measured_error is None
-            assert record.bound_holds is None
-        assert any(r.bound is not None for r in records)
-
 
 class TestDeterminism:
     def test_replay_is_bit_identical(self):
@@ -329,7 +321,7 @@ class TestBenchmarkHooks:
             loaded = load_experiment_config(str(path))
             assert (loaded.topology, loaded.engine.total_cycles) == (spec["topology"], spec["engine"]["total_cycles"])
             config = json.loads(path.read_text(encoding="utf-8"))
-            del config["engine"]["workers"], config["smc"]["kappa_scale"]
+            del config["engine"]["workers"], config["engine"]["evaluation_mode"], config["smc"]["kappa_scale"]
             unpinned = tmp_path / f"{workload}-unpinned.json"
             unpinned.write_text(json.dumps(config), encoding="utf-8")
             assert load_experiment_config(str(unpinned)) == loaded, workload

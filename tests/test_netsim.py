@@ -127,7 +127,7 @@ class TestEnumeration:
         with pytest.raises(ValueError, match=message):
             NetworkModel(view, [-1])
         with pytest.raises(ValueError, match=message):
-            view.slots([3, 256])
+            NetworkModel(view, [3, 256])
 
     def test_split_fractions_span_unit_interval(self):
         env = initial_environment(DESK)
@@ -148,9 +148,9 @@ class TestEnumeration:
             )
         ]
         view = NetworkView(DESK, env)
-        slots = view.slots([0b10_000110])[:, 0]
+        slots = DESK.slot_table[:, 0b10_000110]
         assert slots.tolist() == [0, 1, 1, 2, 0, 0]
-        assert [(view.parents[m][s >> 1], float(view.qs[m][s])) for m, s in enumerate(slots)] == expected
+        assert [(DESK.parents[m][s >> 1], float(view.qs[m][s])) for m, s in enumerate(slots)] == expected
 
 
 def formula_bits(topology, ids):
@@ -185,25 +185,23 @@ class TestTopologyTables:
             ids = np.arange(topo.option_count)
             assert np.array_equal(topo.option_table, formula_bits(topo, ids))
             assert np.array_equal(topo.slot_table, formula_slots(topo, ids))
-            picked = np.array([topo.option_count - 1, 0, 5, 5, 77])
-            view = NetworkView(topo, initial_environment(topo))
-            assert np.array_equal(view.slots(picked), formula_slots(topo, picked))
 
     def test_tables_are_read_only_and_slots_are_fresh(self):
-        view = NetworkView(DESK, initial_environment(DESK))
         for table in (DESK.option_table, DESK.slot_table):
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 1] = 7
+        # the gather a model makes is its own array
         before = DESK.slot_table.copy()
-        slots = view.slots([1, 200, 255])
+        slots = DESK.slot_table[:, [1, 200, 255]]
         slots += 9
         assert np.array_equal(DESK.slot_table, before)
-        assert np.array_equal(view.slots([1, 200, 255]), formula_slots(DESK, [1, 200, 255]))
+        assert np.array_equal(DESK.slot_table[:, [1, 200, 255]], formula_slots(DESK, [1, 200, 255]))
 
     def test_cached_properties_leave_equality_hash_and_repr_alone(self):
         topo = desk_topology()
         before = (hash(topo), repr(topo))
-        for name in ("link_order", "link_count", "split_motes", "option_count", "option_table", "slot_table"):
+        names = ("link_order", "link_count", "split_motes", "parents", "option_count", "option_table", "slot_table")
+        for name in names:
             assert getattr(topo, name) is getattr(topo, name), name  # computed once
         assert (hash(topo), repr(topo)) == before
         assert topo == DESK == desk_topology() and hash(topo) == hash(desk_topology())
@@ -293,7 +291,7 @@ class TestAnalyticOracle:
         q21 = link_delivery_prob(topo.motes[1].links[1].base_snr, 0, 2.5)
         view = NetworkView(topo, env)
         direct, relayed = 0b1_01, 0b0_01
-        assert [view.parents[1][s >> 1] for s in view.slots([direct, relayed])[1]] == [0, 1]
+        assert [topo.parents[1][s >> 1] for s in topo.slot_table[1, [direct, relayed]]] == [0, 1]
         losses = LOSS_DOMAIN.width * true_expected_loss(view)
         assert losses[direct] == pytest.approx(100.0 * (1.0 - (3 * q1 + 4 * q20) / 7), rel=1e-12)
         assert losses[relayed] == pytest.approx(100.0 * (1.0 - (3 * q1 + 4 * q21 * q1) / 7), rel=1e-12)
@@ -755,7 +753,7 @@ class TestFeatures:
         # simulator and the oracle run, for every option.
         for topo in (DESK, FULL):
             env = initial_environment(topo)
-            slots = NetworkView(topo, env).slots(np.arange(topo.option_count))
+            slots = topo.slot_table
             design = features(topo, env)
             powers = design[:, : topo.mote_count].T
             splits = design[:, topo.mote_count : topo.mote_count + len(topo.split_motes)].T
