@@ -50,8 +50,8 @@ def _cell(value: float | None) -> str:
 _CSV_COLUMNS = {
     "cycle": lambda r: str(r.cycle),
     "reduced_size": lambda r: str(r.reduced_size),
-    "cutoff": lambda r: _cell(r.cutoff),
-    "b_hat_w": lambda r: _cell(r.b_hat_w),
+    "cutoff": lambda r: _cell(r.bound.cutoff if r.bound else None),
+    "b_hat_w": lambda r: _cell(r.bound.best_prediction if r.bound else None),
     "selected_id": lambda r: str(r.selected_id),
     "B_r": lambda r: _cell(r.b_r),
     "B_w": lambda r: _cell(r.b_w),
@@ -220,14 +220,13 @@ def _mean(values: list) -> float | None:
 
 
 def summarize_records(records: list[CycleRecord], warmup_cycles: int) -> dict:
-    """Counts and statistics of the post-warm-up cycles; a statistic over no values is null."""
+    """Counts and statistics of the post-warm-up cycles, each with a bound; a statistic over no values is null."""
     post = [r for r in records if r.cycle > warmup_cycles]
     errors = [r.measured_error for r in post]
-    bounded = [r for r in post if r.bound is not None]
-    probs = [r.bound.min_probability for r in bounded]
-    holds = [r.bound_holds for r in bounded]
+    probs = [r.bound.min_probability for r in post]
+    holds = [r.bound_holds for r in post]
     # a bound at least the best-to-worst spread would accept any option
-    vacuous = [r.bound.error_bound >= r.b_worst - r.b_w for r in bounded]
+    vacuous = [r.bound.error_bound >= r.b_worst - r.b_w for r in post]
     mean = _mean(errors)
     variance = _mean([(e - mean) ** 2 for e in errors])
     return _sig_floats({

@@ -83,15 +83,13 @@ class EngineConfig:
 class CycleRecord:
     """Everything one adaptation cycle decided and observed.
 
-    Fields that only exist after warm-up (cutoff, b_hat_w, bound,
-    bound_holds) are None during warm-up; bound and bound_holds also in a
-    cycle where the bound does not apply (see ``_cycle_bound``).
+    bound and bound_holds are None exactly in warm-up. After it, the
+    bound's cutoff and best_prediction are the cycle's reduction threshold
+    and its minimum prediction over the full space.
     """
 
     cycle: int
     reduced_size: int
-    cutoff: float | None
-    b_hat_w: float | None
     selected_id: int
     b_r: float
     b_w: float
@@ -137,6 +135,13 @@ class AdaptationEngine:
         # training window: feature rows and verified estimates
         self.window = TrainingWindow(features(topology, self.env).shape[1], config.window_factor * len(self.options))
         self.vc_dim = vc_dimension_linear(self.window.dim)
+        # the window only grows, so after warm-up every cycle's bound has d < m
+        rows = min(config.window_factor, config.warmup_cycles) * len(self.options)
+        if rows <= self.vc_dim:
+            raise ValueError(
+                f"min(window_factor {config.window_factor}, warmup_cycles {config.warmup_cycles}) x {len(self.options)}"
+                f" options = {rows} training rows after warm-up, not more than the VC dimension {self.vc_dim}"
+            )
         self.model: LinearModel | None = None
         self.completed_cycles = 0
 
@@ -154,9 +159,6 @@ class AdaptationEngine:
         warmup = t <= self.config.warmup_cycles
         if warmup:
             candidate_ids = list(self.options)
-            cut = None
-            best_prediction = None
-            predictions = None
         else:
             assert self.model is not None
             predictions = predict_batch(self.model, design)
@@ -187,8 +189,6 @@ class AdaptationEngine:
         return CycleRecord(
             cycle=t,
             reduced_size=len(candidate_ids),
-            cutoff=cut,
-            b_hat_w=best_prediction,
             selected_id=selected_id,
             b_r=b_r,
             b_w=b_w,
@@ -205,14 +205,12 @@ class AdaptationEngine:
         predictions: np.ndarray,
         best_prediction: float,
         cut: float,
-    ) -> DecisionErrorBound | None:
-        """Compose the per-cycle decision-error bound, or None when the
-        training window is still too small for the risk bound to apply."""
-        m = len(self.window)
-        if self.vc_dim >= m or risk > LOSS_DOMAIN.loss_upper:
-            return None
+    ) -> DecisionErrorBound:
+        """Compose the per-cycle decision-error bound. The constructor's check
+        keeps d < m, and a fit with an intercept may set every weight to 0, so
+        the window's risk is at most its targets' variance, width^2 / 4 < loss_upper."""
         inputs = RiskBoundInputs(
-            m=m,
+            m=len(self.window),
             vc_dim=self.vc_dim,
             eta=self.config.eta,
             empirical_risk=risk,

@@ -377,10 +377,10 @@ class NetworkModel:
     """
 
     def __init__(self, view: NetworkView, option_ids: Sequence[int] | np.ndarray):
-        ids, count = np.asarray(option_ids, dtype=np.intp), view.topology.option_count
-        if ids.size and not 0 <= ids.min() <= ids.max() < count:
-            raise ValueError(f"option ids must lie in [0, {count})")
-        slots = view.topology.slot_table[:, ids]
+        ids, count = np.asarray(option_ids), view.topology.option_count
+        if ids.size and (ids.dtype.kind not in "iu" or not 0 <= ids.min() <= ids.max() < count):
+            raise ValueError(f"option ids must lie in [0, {count}) and have an integer type")
+        slots = view.topology.slot_table[:, ids.astype(np.intp)]
         generated, most, top = view.generated, view.most, max(view.most, default=0)
         self._generated, self.total = sum(generated), max(1, sum(generated))
         self._mote_count, self._row_count = len(generated), slots.shape[1]

@@ -166,6 +166,8 @@ def verify_options(
     that is not an integer in [0, total] is a model bug and raises.
     """
     ids = list(option_ids)
+    if ids and np.asarray(ids).dtype.kind not in "iu":  # a cast would seed 1.7 as 1 and True as 1
+        raise ValueError("option ids must have an integer type")
     epsilon, level, total = config.epsilon, config.alpha / 2.0, model.total
     if level == 0.0 or 2.0 / level == math.inf:  # alpha / 2 underflows, or the cap's ln(2 / level) is infinite
         raise ValueError(f"alpha {config.alpha!r} is too small: the Hoeffding run count at alpha / 2 overflows")

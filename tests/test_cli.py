@@ -1,7 +1,12 @@
 """Command-line contract: output formats, exit codes, config validation."""
 
+import csv
 import json
 import math
+import os
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,17 +14,25 @@ import pytest
 from adaptlab import cli
 from adaptlab.cli import load_experiment_config, main, section_defaults
 from adaptlab.bounds import DecisionErrorBound
-from adaptlab.engine import AdaptationEngine, CycleRecord, EngineConfig
-from adaptlab.netsim import EnvironmentWalk
+from adaptlab.engine import AdaptationEngine, CycleRecord, EngineConfig, run_experiment
+from adaptlab.netsim import TOPOLOGY_PRESETS, EnvironmentWalk
 from adaptlab.smc import SmcConfig
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def readme_run_config() -> dict:
     """The JSON config shown under the README's ``adaptlab run`` heading."""
     text = README.read_text(encoding="utf-8")
     return json.loads(text.split("### `adaptlab run")[1].split("```json\n")[1].split("```")[0])
+
+
+def readme_bounds_args() -> list[str]:
+    """The arguments of the command shown under the README's ``adaptlab bounds`` heading."""
+    text = README.read_text(encoding="utf-8")
+    command = text.split("### `adaptlab bounds")[1].split("```sh\n")[1].split("```")[0]
+    return shlex.split(command.replace("\\\n", " "))[1:]
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -63,6 +76,19 @@ class TestBoundsCommand:
         for key, value in payload.items():
             if isinstance(value, float):
                 assert value == float(format(value, ".12g"))
+
+    def test_module_entry_point_prints_what_main_prints(self, capsys):
+        args = readme_bounds_args()
+        assert args[0] == "bounds"
+        assert main(args) == 0
+        in_process = capsys.readouterr().out
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        command = [sys.executable, "-m", "adaptlab.cli"]
+        done = subprocess.run(command + args, capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, in_process, "")
+        done = subprocess.run(command + args + ["--bogus", "1"], capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert "unrecognized arguments: --bogus 1" in done.stderr
 
     def test_capacity_above_samples_is_usage_error(self, capsys):
         rc = main(["bounds", "--m", "50", "--d", "86",
@@ -183,6 +209,21 @@ class TestRunCommand:
         assert summary["bound_applicable_cycles"] == len(bounded) > 0
         assert summary["mean_min_probability"] == cli._sig(math.fsum(float(c[9]) for c in bounded) / len(bounded))
 
+    @pytest.mark.parametrize("topology", ["desk", "full"])
+    def test_cutoff_and_b_hat_w_cells_come_from_the_bound_after_warmup(self, tmp_path, topology):
+        config = EngineConfig(warmup_cycles=2, total_cycles=4, smc=SmcConfig(epsilon=0.1, alpha=0.1))
+        records = run_experiment(TOPOLOGY_PRESETS[topology](), config, base_seed=7)
+        cli.write_records_csv(records, str(tmp_path / "out.csv"))
+        rows = list(csv.DictReader((tmp_path / "out.csv").read_text().splitlines()))
+        for record, row in zip(records, rows, strict=True):
+            if record.cycle <= config.warmup_cycles:
+                assert record.bound is None
+                assert row["cutoff"] == row["b_hat_w"] == ""
+            else:
+                assert record.bound is not None
+                assert row["cutoff"] == format(record.bound.cutoff, ".12g")
+                assert row["b_hat_w"] == format(record.bound.best_prediction, ".12g")
+
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         first, _ = write_config(tmp_path, name="a.json", output_csv=str(tmp_path / "a.csv"))
         second, _ = write_config(tmp_path, name="b.json", output_csv=str(tmp_path / "b.csv"))
@@ -282,6 +323,11 @@ class TestRunCommand:
         assert main(["run", str(tmp_path / "missing.json")]) == 2
         (tmp_path / "broken.json").write_text("{not json")
         assert main(["run", str(tmp_path / "broken.json")]) == 2
+        capsys.readouterr()
+        (tmp_path / "list.json").write_text(json.dumps([{"topology": "desk", "seed": 7, "output_csv": "out.csv"}]))
+        assert main(["run", str(tmp_path / "list.json")]) == 2
+        assert capsys.readouterr() == ("", "error: config root must be a JSON object\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["broken.json", "list.json"]
 
     def test_rejects_one_path_for_both_outputs(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -297,6 +343,15 @@ class TestRunCommand:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "different files" in captured.err
+        for key, bad, message in (
+            ("output_csv", "", "output_csv must be a nonempty path string"),
+            ("output_csv", 7, "output_csv must be a nonempty path string"),
+            ("output_summary", "", "output_summary must be a nonempty path string when given"),
+            ("output_summary", ["summary.json"], "output_summary must be a nonempty path string when given"),
+        ):
+            config_path, _ = write_config(tmp_path, **{key: bad})
+            assert main(["run", str(config_path)]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
         assert (tmp_path / "out.csv").read_bytes() == previous
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out.csv"]
 
@@ -442,7 +497,8 @@ class TestRunCommand:
 
 
 def hand_record(cycle, error_bound=None, *, b_w, b_worst):
-    """A cycle record with the given bound and oracle spread; the other cells are placeholders."""
+    """A cycle record with the given bound (none, as in warm-up, by default) and oracle spread;
+    the other cells are placeholders."""
     bound = None
     if error_bound is not None:
         bound = DecisionErrorBound(
@@ -451,20 +507,18 @@ def hand_record(cycle, error_bound=None, *, b_w, b_worst):
             error_bound=error_bound, min_probability=0.5,
         )
     return CycleRecord(
-        cycle=cycle, reduced_size=1, cutoff=None if bound is None else 1.0, b_hat_w=None if bound is None else 0.0,
-        selected_id=0, b_r=b_w, b_w=b_w, b_worst=b_worst, measured_error=0.0, bound=bound,
-        empirical_risk=1.0, bound_holds=None if bound is None else 0.0 <= error_bound,
+        cycle=cycle, reduced_size=1, selected_id=0, b_r=b_w, b_w=b_w, b_worst=b_worst, measured_error=0.0,
+        bound=bound, empirical_risk=1.0, bound_holds=None if bound is None else 0.0 <= error_bound,
     )
 
 
 class TestSummary:
     def test_counts_the_post_warmup_cycles_whose_bound_spans_best_to_worst(self):
         records = [
-            hand_record(1, 50.0, b_w=1.0, b_worst=2.0),    # warm-up: not counted
+            hand_record(1, b_w=1.0, b_worst=2.0),          # warm-up: no bound, not counted
             hand_record(2, 10.0, b_w=5.0, b_worst=14.99),  # vacuous
             hand_record(3, 10.0, b_w=5.0, b_worst=15.0),   # vacuous: the bound equals the spread
             hand_record(4, 10.0, b_w=5.0, b_worst=15.01),  # informative
-            hand_record(5, b_w=5.0, b_worst=40.0),         # no bound
         ]
         assert cli.summarize_records(records, warmup_cycles=1)["vacuous_bound_cycles"] == 2
         assert cli.summarize_records(records[:1] + records[3:], warmup_cycles=1)["vacuous_bound_cycles"] == 0

@@ -3,6 +3,7 @@
 import importlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,7 @@ def quick_config(**overrides):
 
 
 def tiny_topology():
-    """One mote, two options; feature dim 3 so d = 4 exceeds tiny windows."""
+    """One mote, two options; feature dim 3, so d = 4 is at least a window of 1 or 2 cycles."""
     return NetworkTopology(
         motes=(Mote(1, rate=2, links=(Link(0, 5.0),)),),
     )
@@ -93,7 +94,7 @@ class TestEngineConfig:
         config = EngineConfig(warmup_cycles=3, total_cycles=3, smc=QUICK_SMC)
         records = run_experiment(DESK, config, base_seed=1)
         assert len(records) == 3
-        assert all(r.cutoff is None for r in records)
+        assert all(r.bound is None for r in records)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -121,8 +122,6 @@ class TestCycleRecords:
     def test_warmup_rows(self, records):
         for record in records[:2]:
             assert record.reduced_size == 256
-            assert record.cutoff is None
-            assert record.b_hat_w is None
             assert record.bound is None
             assert record.bound_holds is None
             assert record.empirical_risk is not None and record.empirical_risk >= 0.0
@@ -130,13 +129,9 @@ class TestCycleRecords:
 
     def test_post_warmup_rows(self, records):
         for record in records[2:]:
-            assert record.cutoff is not None
-            assert record.b_hat_w is not None
-            assert record.b_hat_w <= record.cutoff  # best prediction always survives
-            assert 1 <= record.reduced_size <= 256
             assert record.bound is not None
-            assert record.bound.cutoff == record.cutoff
-            assert record.bound.best_prediction == record.b_hat_w
+            assert record.bound.best_prediction <= record.bound.cutoff  # best prediction always survives
+            assert 1 <= record.reduced_size <= 256
             assert record.bound_holds is not None
 
     def test_oracle_fields(self, records):
@@ -188,7 +183,7 @@ class TestTrainingWindow:
         before, model_before = rows, engine.model
         record = engine.run_cycle()
         design = features(DESK, engine.env)
-        verified = np.flatnonzero(predict_batch(model_before, design) <= record.cutoff)
+        verified = np.flatnonzero(predict_batch(model_before, design) <= record.bound.cutoff)
         k = record.reduced_size
         assert len(verified) == k < 256
         # the verified options' design rows are appended in id order as one block, the oldest rows dropped
@@ -228,15 +223,29 @@ class TestTrainingWindow:
 
 
 class TestBoundApplicability:
-    def test_small_windows_leave_bound_empty(self):
-        # 2 options, window cap 2, feature dim 3 -> d = 4 >= m = 2
+    def test_window_that_cannot_outgrow_the_vc_dimension_is_rejected(self, monkeypatch):
+        # 2 options and d = 4: the window holds min(window_factor, warmup_cycles) x 2 rows after warm-up
         topo = tiny_topology()
-        config = EngineConfig(warmup_cycles=1, total_cycles=3, smc=QUICK_SMC, window_factor=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(AdaptationEngine, "run_cycle", lambda self: pytest.fail("no cycle may run"))
+            for window_factor, warmup_cycles, rows in ((1, 3, 2), (3, 1, 2), (2, 3, 4), (3, 2, 4)):
+                config = EngineConfig(warmup_cycles=warmup_cycles, total_cycles=5, smc=QUICK_SMC, window_factor=window_factor)
+                message = re.escape(
+                    f"min(window_factor {window_factor}, warmup_cycles {warmup_cycles}) x 2 options = {rows} "
+                    "training rows after warm-up, not more than the VC dimension 4"
+                )
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    AdaptationEngine(topo, config, base_seed=11)
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    run_experiment(topo, config, base_seed=11)
+        # 3 warm-up cycles of 2 options leave 6 rows > d = 4: every later cycle has a bound
+        config = EngineConfig(warmup_cycles=3, total_cycles=8, smc=QUICK_SMC, window_factor=3)
         records = run_experiment(topo, config, base_seed=11)
-        for record in records[1:]:
-            assert record.cutoff is not None  # reduction still happens
-            assert record.bound is None       # but no bound is claimed
-            assert record.bound_holds is None
+        for record in records:
+            assert (record.bound is None) == (record.bound_holds is None) == (record.cycle <= 3)
+        for record in records[3:]:
+            assert record.bound.best_prediction <= record.bound.cutoff
+            assert record.bound_holds == (record.measured_error <= record.bound.error_bound)
 
     def test_selected_option_survived_its_own_cutoff(self):
         engine = AdaptationEngine(DESK, quick_config(), base_seed=31)
@@ -246,7 +255,7 @@ class TestBoundApplicability:
         record = engine.run_cycle()
         # the environment the cycle saw is still current; replay its predictions
         predictions = predict_batch(model_before, features(DESK, engine.env))
-        survivors = np.flatnonzero(predictions <= record.cutoff)
+        survivors = np.flatnonzero(predictions <= record.bound.cutoff)
         assert record.reduced_size == len(survivors)
         assert record.selected_id in survivors
 

@@ -119,6 +119,18 @@ class TestEnumeration:
             seen = {tuple(row) for row in features(topo, initial_environment(topo))[:, :width]}
             assert len(seen) == topo.option_count
 
+    def test_rejects_ids_of_a_non_integer_type(self):
+        # a cast would simulate 1.7 as option 1 and True as option 1
+        view = NetworkView(DESK, initial_environment(DESK))
+        for ids in ([1.7, 2.2], [True, False], np.array([1.0, 2.0]), ["1"]):
+            with pytest.raises(ValueError, match=re.escape("option ids must lie in [0, 256) and have an integer type")):
+                NetworkModel(view, ids)
+        seeds = np.stack([seed_stream(4, 100), seed_stream(5, 100)])
+        lost = NetworkModel(view, [1, 2]).simulate_batch(np.array([0, 1]), seeds)
+        for ids in (np.array([1, 2], dtype=np.uint8), np.array([1, 2], dtype=np.uint64)):
+            assert np.array_equal(NetworkModel(view, ids).simulate_batch(np.array([0, 1]), seeds), lost)
+        NetworkModel(view, [])  # no ids, no type to check
+
     def test_rejects_out_of_range_id(self):
         view = NetworkView(DESK, initial_environment(DESK))
         message = re.escape("option ids must lie in [0, 256)")
@@ -225,11 +237,26 @@ class TestTopologyValidation:
                     Mote(2, rate=1, links=(Link(1, 5.0), Link(1, 4.0))),
                 ),
             )
+        # nor may a mote list no parent or three
+        for links in ((), (Link(0, 5.0), Link(1, 5.0), Link(2, 5.0))):
+            with pytest.raises(ValueError, match=r"^mote 3 must have 1 or 2 parents$"):
+                NetworkTopology(
+                    motes=(
+                        Mote(1, rate=1, links=(Link(0, 5.0),)),
+                        Mote(2, rate=1, links=(Link(0, 5.0),)),
+                        Mote(3, rate=1, links=links),
+                    ),
+                )
 
     def test_numbering_must_be_contiguous(self):
         with pytest.raises(ValueError, match="numbered"):
             NetworkTopology(
                 motes=(Mote(2, rate=1, links=(Link(0, 5.0),)),),
+            )
+        # a correctly numbered mote's rate is checked too
+        with pytest.raises(ValueError, match=r"^mote 1 rate must be nonnegative$"):
+            NetworkTopology(
+                motes=(Mote(1, rate=-1, links=(Link(0, 5.0),)),),
             )
 
     def test_desk_link_order_is_documented_shape(self):

@@ -258,6 +258,15 @@ class TestVerifyOptions:
         center, runs = reference_estimate(BernoulliModel(0.2), config, mix64(12, 4))
         assert (est.mean, est.samples_used) == (center, runs)
 
+    def test_rejects_ids_of_a_non_integer_type(self):
+        # a cast would seed 1.7 as option 1 and label its estimate 1.7
+        config = SmcConfig(epsilon=0.1, alpha=0.1)
+        for ids in ([1.7, 2.2], [True, False], np.array([1.0]), ["1"]):
+            with pytest.raises(ValueError, match=r"^option ids must have an integer type$"):
+                verify_options(BernoulliModel(0.2), ids, config, 12)
+        [(oid, est)] = verify_options(BernoulliModel(0.2), np.array([4], dtype=np.uint16), config, 12)
+        assert (oid, est) == verify_options(BernoulliModel(0.2), [4], config, 12)[0]
+
     def test_order_independent(self):
         config = SmcConfig(epsilon=0.1, alpha=0.1)
         model = RowMeansModel([0.1 + 0.05 * i for i in range(16)])
