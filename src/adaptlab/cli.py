@@ -239,7 +239,7 @@ def summarize_records(records: list[CycleRecord], warmup_cycles: int) -> dict:
         "mean_measured_error": mean,
         "std_measured_error": None if variance is None else math.sqrt(variance),
         "bound_holds_fraction": _mean(holds),
-        "vacuous_bound_cycles": sum(vacuous) if vacuous else None,
+        "vacuous_bound_cycles": sum(vacuous),
         "mean_min_probability": _mean(probs),
     })
 

@@ -235,13 +235,20 @@ class NetworkView:
     under any option unless two of its children share a child (a diamond):
     that child's packets then count once per path, so a table is larger and
     the ``MAX_MOTE_PACKETS`` check stricter, but no count differs. Nothing
-    in a view changes after it is built.
+    in a view changes after it is built. An environment that does not fit
+    the topology, or has a reading that is not finite or a negative load,
+    raises.
     """
 
     def __init__(self, topology: NetworkTopology, env: Environment):
+        if (len(env.interference), len(env.load)) != (topology.link_count, topology.mote_count):
+            raise ValueError(f"environment has {len(env.interference)} interference and {len(env.load)} load values "
+                             f"for {topology.link_count} links and {topology.mote_count} motes")
+        if not (all(map(math.isfinite, env.interference)) and all(0.0 <= value < math.inf for value in env.load)):
+            raise ValueError(f"readings must be finite and loads nonnegative, got {env}")
         self.topology = topology
         # round() is banker's rounding; fine, it just needs to be deterministic.
-        self.generated = [max(0, round(m.rate * env.load[m.mote_id - 1])) for m in topology.motes]
+        self.generated = [round(m.rate * env.load[m.mote_id - 1]) for m in topology.motes]
         interference = dict(zip(topology.link_order, env.interference))
         # Per mote (ascending id): the q of each slot.
         self.qs = [

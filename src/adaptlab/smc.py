@@ -32,9 +32,9 @@ engine's candidates and ``coverage_experiment``'s repetitions are its rows.
 Determinism contract: option id's runs are seeded ``mix64(key, run_index)``
 with key ``mix64(base_seed, id)`` (:func:`adaptlab.seeds.mix64`), so each
 chunk continues the same seed stream in run-index order. Runs report integer
-counts of the model's ``total``; the mean is their exact sum divided once by
-n * total. The stop decision uses float ``cumsum`` and ``log1p`` over the
-outcomes count / total, row by row, so it is deterministic on one machine
+counts of the model's ``total``, kept once; the mean is their exact sum
+divided once by n * total. The stop decision uses float ``cumsum`` and
+``log1p`` on count / total, row by row, so it is deterministic on one machine
 and numpy build. An estimate is thus a pure function of (the option's
 counts, config, base_seed, id): it does not depend on which rows share its
 group, and a model that simulates its runs one seed at a time gives the
@@ -102,9 +102,10 @@ _GROWTH = 1.5
 def first_check(epsilon: float, alpha: float) -> int:
     """Run count of an estimate's first stopping check: 1.5 times the
     fewest runs after which even a constant outcome could stop, where each
-    of n runs multiplies the capital by at most 1 + epsilon/2, and half the
-    capital must reach 2/(alpha/2): ceil(1.5 ln(4/alpha) / ln(1 + epsilon/2))."""
-    return math.ceil(_GROWTH * math.log(4.0 / alpha) / math.log1p(epsilon / 2.0))
+    of n runs multiplies the capital by at most 1 + c epsilon (c the bet cap
+    ``_BET_CAP``), and half the capital must reach 2/(alpha/2):
+    ceil(1.5 ln(4/alpha) / ln(1 + c epsilon))."""
+    return math.ceil(_GROWTH * math.log(4.0 / alpha) / math.log1p(_BET_CAP * epsilon))
 
 
 def _intervals_fit(outcomes: np.ndarray, centers: np.ndarray, epsilon: float, level: float) -> np.ndarray:
@@ -159,9 +160,10 @@ def verify_options(
     until the betting confidence sequence at alpha/2 fits within +/-epsilon
     of its running mean, or up to ``required_samples(epsilon, alpha / 2)``
     runs, and reports ``sum(counts) / (n * total)``, the exact sample mean
-    rounded once, with n as ``samples_used``. Rows advance in
-    lockstep groups: at each check, the rows still running get their next
-    runs from one ``simulate_batch`` call, and one row-wise stopping check
+    rounded once, with n as ``samples_used``. Rows advance in lockstep
+    groups: at each check, the rows still running append their next runs,
+    from one ``simulate_batch`` call, to one integer history per row (dtype
+    ``np.min_scalar_type(total)``), and one row-wise check of counts / total
     retires those whose interval fits, or all of them at the cap. A count
     that is not an integer in [0, total] is a model bug and raises.
     """
@@ -175,10 +177,10 @@ def verify_options(
     first = first_check(epsilon, config.alpha)
     group = max(1, RUN_BUDGET // first)
     keys = stream_uint64(np.uint64(base_seed), np.array(ids, dtype=np.uint64))
-    centers, used = [0.0] * len(ids), [0] * len(ids)
+    centers, used = np.zeros(len(ids)), np.zeros(len(ids), dtype=np.int64)
     for start in range(0, len(ids), group):
         running = np.arange(start, min(start + group, len(ids)))  # rows whose estimate has not stopped
-        outcomes, sums = np.empty((len(running), 0)), np.zeros(len(running), dtype=np.int64)
+        counts = np.empty((len(running), 0), dtype=np.min_scalar_type(total))  # each row's history, oldest first
         done, n = 0, min(cap, first)
         while len(running):
             seeds_now = stream_uint64(keys[running, None], np.arange(done, n, dtype=np.uint64))
@@ -189,16 +191,13 @@ def verify_options(
             if bad.any():
                 r, j = np.unravel_index(np.argmax(bad), chunk.shape)
                 raise ValueError(f"run {done + j} of option {ids[running[r]]} gave {chunk[r, j]} outside [0, {total}]")
-            sums += chunk.sum(axis=1, dtype=np.int64)  # exact: integer addition does not round
-            outcomes = np.concatenate([outcomes, chunk / total], axis=1)
-            means = sums / (n * total)
-            stop = np.ones(len(running), dtype=bool) if n == cap else _intervals_fit(outcomes, means, epsilon, level)
-            for position in np.flatnonzero(stop).tolist():
-                centers[running[position]] = float(means[position])
-                used[running[position]] = n
-            running, outcomes, sums = running[~stop], outcomes[~stop], sums[~stop]
+            counts = np.concatenate([counts, chunk.astype(counts.dtype)], axis=1)  # no wrap: checked in [0, total]
+            means = counts.sum(axis=1, dtype=np.int64) / (n * total)  # exact: integer addition does not round
+            stop = np.ones(len(running), dtype=bool) if n == cap else _intervals_fit(counts / total, means, epsilon, level)
+            centers[running[stop]], used[running[stop]] = means[stop], n
+            running, counts = running[~stop], counts[~stop]
             done, n = n, min(cap, math.ceil(_GROWTH * n))
-    return [(oid, SmcEstimate(mean=center, samples_used=runs)) for oid, center, runs in zip(ids, centers, used)]
+    return [(oid, SmcEstimate(mean=float(center), samples_used=int(runs))) for oid, center, runs in zip(ids, centers, used)]
 
 
 class BernoulliModel:

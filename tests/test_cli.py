@@ -523,6 +523,15 @@ class TestSummary:
         assert cli.summarize_records(records, warmup_cycles=1)["vacuous_bound_cycles"] == 2
         assert cli.summarize_records(records[:1] + records[3:], warmup_cycles=1)["vacuous_bound_cycles"] == 0
 
+    def test_a_run_of_warmup_alone_counts_zero_cycles_and_has_no_statistics(self):
+        records = [hand_record(cycle, b_w=1.0, b_worst=2.0) for cycle in (1, 2, 3)]
+        summary = cli.summarize_records(records, warmup_cycles=3)
+        counts = ("post_warmup_cycles", "bound_applicable_cycles", "vacuous_bound_cycles")
+        assert {key: summary[key] for key in counts} == dict.fromkeys(counts, 0)
+        statistics = ("min_measured_error", "max_measured_error", "mean_measured_error", "std_measured_error",
+                      "bound_holds_fraction", "mean_min_probability")
+        assert {key: summary[key] for key in statistics} == dict.fromkeys(statistics)
+
 
 class TestSelftestCommand:
     def test_passes_and_reports(self, capsys):

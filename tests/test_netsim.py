@@ -546,6 +546,26 @@ class TestNetworkView:
             for model in others:
                 assert np.array_equal(model._keys, first._keys) and np.array_equal(model._guides, first._guides)
 
+    def test_an_environment_that_does_not_fit_the_topology_is_rejected(self):
+        # Unchecked, an extra interference value would be dropped (and
+        # features grow a column), a missing one raise KeyError, a NaN
+        # interference give Q_FLOOR and a negative load 0 packets.
+        env = initial_environment(DESK)
+        cases = [
+            ("9 interference and 6 load values for 8 links and 6 motes", dict(interference=env.interference + (2.0,))),
+            ("7 interference and 6 load values", dict(interference=env.interference[:-1])),
+            ("8 interference and 7 load values", dict(load=env.load + (1.0,))),
+            ("got Environment(interference=(nan,", dict(interference=(math.nan,) + env.interference[1:])),
+            ("got Environment(interference=(inf,", dict(interference=(math.inf,) + env.interference[1:])),
+            ("load=(-1.0,", dict(load=(-1.0,) + env.load[1:])),
+            ("load=(nan,", dict(load=(math.nan,) + env.load[1:])),
+            ("load=(inf,", dict(load=(math.inf,) + env.load[1:])),
+        ]
+        for message, change in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                NetworkView(DESK, Environment(**dict(vars(env), **change)))
+        assert NetworkView(DESK, Environment(env.interference, (0.0,) * DESK.mote_count)).generated == [0] * 6
+
     def test_binomial_keys_match_the_scalar_rule(self):
         qs = [0.0, 0.005, 0.37, 0.5, 0.8123, 0.995, 1.0]
         keys = netsim.binomial_keys(qs, 30)

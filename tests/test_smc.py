@@ -197,12 +197,33 @@ class TestEstimate:
         assert est.mean == exact
         assert math.fsum(count / 3 for count in counts) / est.samples_used != exact
 
+    def test_counts_beyond_a_byte_keep_their_exact_mean(self):
+        # The history's dtype is the narrowest that holds total: a count of
+        # 256 or 70 000 must neither wrap nor be cut.
+        class NearlyAll:  # total, or one less on odd seeds
+            def __init__(self, total):
+                self.total = total
+
+            def simulate_batch(self, rows, seeds):
+                return self.total - (seeds % np.uint64(2)).astype(np.int64)
+
+        config, base_seed = SmcConfig(epsilon=0.1, alpha=0.1), 9
+        for total in (255, 256, 70_000):
+            est = one_estimate(NearlyAll(total), config, base_seed)
+            counts = [total - int(seed) % 2 for seed in seed_stream(mix64(base_seed, 0), est.samples_used)]
+            assert est.mean == float(Fraction(sum(counts), est.samples_used * total)), total
+
 
 class TestSequentialStopping:
     def test_first_check_and_cap(self):
         assert first_check(0.01, 0.1) == 1110
         assert first_check(0.05, 0.1) == 225
         assert required_samples(0.01, 0.05) == 18445
+
+    def test_first_check_follows_the_bet_cap(self, monkeypatch):
+        # each run multiplies the capital by at most 1 + c epsilon, c the cap
+        monkeypatch.setattr(smc, "_BET_CAP", 0.75)
+        assert first_check(0.01, 0.1) == math.ceil(1.5 * math.log(40.0) / math.log1p(0.0075)) == 741
 
     def test_max_variance_runs_to_the_half_alpha_cap(self):
         config = SmcConfig(epsilon=0.05, alpha=0.1)
