@@ -133,7 +133,8 @@ class AdaptationEngine:
         self.options = range(topology.option_count)
         self.env: Environment = initial_environment(topology)
         # training window: feature rows and verified estimates
-        self.window = TrainingWindow(features(topology, self.env).shape[1], config.window_factor * len(self.options))
+        width = features(NetworkView(topology, self.env)).shape[1]
+        self.window = TrainingWindow(width, config.window_factor * len(self.options))
         self.vc_dim = vc_dimension_linear(self.window.dim)
         # the window only grows, so after warm-up every cycle's bound has d < m
         rows = min(config.window_factor, config.warmup_cycles) * len(self.options)
@@ -155,7 +156,7 @@ class AdaptationEngine:
         smc_seed = mix64(self.base_seed, _SMC_SEED_SALT, t)
 
         view = NetworkView(self.topology, env)
-        design = features(self.topology, env)
+        design = features(view)
         warmup = t <= self.config.warmup_cycles
         if warmup:
             candidate_ids = list(self.options)

@@ -214,30 +214,30 @@ def link_delivery_prob(base_snr: float, power_level: int, interference: float) -
     return min(Q_CEIL, max(Q_FLOOR, q))
 
 
-def features(topology: NetworkTopology, env: Environment) -> np.ndarray:
+def features(view: NetworkView) -> np.ndarray:
     """Feature matrix of the whole adaptation space, row i for option id i.
 
     Row layout: the id's ``topology.option_table`` bits, then interference
     per link (canonical link order) and load per mote (ascending id).
     """
-    settings = topology.option_table.T
-    readings = np.array(env.interference + env.load, dtype=np.float64)
+    settings = view.topology.option_table.T
+    readings = np.array(view.env.interference + view.env.load, dtype=np.float64)
     return np.hstack([settings, np.tile(readings, (len(settings), 1))])  # float64, as readings are
 
 
 class NetworkView:
     """The network at one environment, computed once per cycle for every
-    option's oracle value and model: each mote's generated packets, the
-    delivery probability q of each of its slots (see
-    ``NetworkTopology.slot_table``), and ``most``, its own packets plus the
-    ``most`` of every mote that lists it as a parent, which sizes every
-    model's Binomial tables. That is the most packets it can hold in one run
-    under any option unless two of its children share a child (a diamond):
-    that child's packets then count once per path, so a table is larger and
-    the ``MAX_MOTE_PACKETS`` check stricter, but no count differs. Nothing
-    in a view changes after it is built. An environment that does not fit
-    the topology, or has a reading that is not finite or a negative load,
-    raises.
+    option's features, oracle value and model: the topology and environment,
+    each mote's generated packets, the delivery probability q of each of its
+    slots (see ``NetworkTopology.slot_table``), and ``most``, its own packets
+    plus the ``most`` of every mote that lists it as a parent, which sizes
+    every model's Binomial tables. That is the most packets it can hold in
+    one run under any option unless two of its children share a child (a
+    diamond): that child's packets then count once per path, so a table is
+    larger and the ``MAX_MOTE_PACKETS`` check stricter, but no count
+    differs. Nothing in a view changes after it is built. An environment
+    that does not fit the topology, or has a reading that is not finite or a
+    negative load, raises.
     """
 
     def __init__(self, topology: NetworkTopology, env: Environment):
@@ -246,7 +246,7 @@ class NetworkView:
                              f"for {topology.link_count} links and {topology.mote_count} motes")
         if not (all(map(math.isfinite, env.interference)) and all(0.0 <= value < math.inf for value in env.load)):
             raise ValueError(f"readings must be finite and loads nonnegative, got {env}")
-        self.topology = topology
+        self.topology, self.env = topology, env
         # round() is banker's rounding; fine, it just needs to be deterministic.
         self.generated = [round(m.rate * env.load[m.mote_id - 1]) for m in topology.motes]
         interference = dict(zip(topology.link_order, env.interference))
@@ -365,13 +365,15 @@ class NetworkModel:
 
     ``simulate_batch`` plays one network period per (row, seed) and returns
     each run's count of lost packets as ``int64``, out of ``total``, the
-    packets generated (1 where none are, and none is lost). Each mote
-    forwards all its packets over the one slot the row's option picks, so
-    given the k packets it holds in a run (its own plus those its children
-    delivered), the count it delivers to its parent is Binomial(k, q). Run s
-    draws that count by inverse CDF from one uniform per mote,
-    ``stream_uint64(s, mote_id)``, drawn for every mote in one call per
-    batch, and processes children before parents. Every slot's
+    packets generated (1 where none are, and none is lost). Rows must be
+    integers in [0, rows) and seeds integers, signed ones wrapping to their
+    two's-complement bits; anything else raises. It walks the view's motes
+    that can hold a packet, children before parents. Each mote forwards all
+    its packets over the one slot the row's option picks, so given the k
+    packets it holds in a run (its own plus those its children delivered),
+    the count it delivers to its parent is Binomial(k, q). Run s draws that
+    count by inverse CDF from one uniform per mote, ``stream_uint64(s,
+    mote_id)``, drawn for every mote in one call per batch. Every slot's
     ``binomial_keys`` reach the view's largest ``most``, so two models of
     one view build equal tables. Per mote, the options are grouped by slot,
     and ``delivered_counts`` looks each group's runs up in the slot's table
@@ -387,48 +389,44 @@ class NetworkModel:
         ids, count = np.asarray(option_ids), view.topology.option_count
         if ids.size and (ids.dtype.kind not in "iu" or not 0 <= ids.min() <= ids.max() < count):
             raise ValueError(f"option ids must lie in [0, {count}) and have an integer type")
-        slots = view.topology.slot_table[:, ids.astype(np.intp)]
-        generated, most, top = view.generated, view.most, max(view.most, default=0)
-        self._generated, self.total = sum(generated), max(1, sum(generated))
-        self._mote_count, self._row_count = len(generated), slots.shape[1]
-        if top > MAX_MOTE_PACKETS:
-            raise ValueError(f"mote {most.index(top) + 1} may hold {top} packets in one run, above {MAX_MOTE_PACKETS}")
-
-        # Plan every mote that can hold a packet, children before parents:
-        # (mote_id, generated, slots, size, groups), slots[i] being option
-        # i's slot there, size the keys of k up to the mote's most, and
-        # groups (slot, parent, index of the table and guide) of its slots.
-        plan, qs = [], []
-        for mote_id in range(len(generated), 0, -1):
-            cap, parents = most[mote_id - 1], view.topology.parents[mote_id - 1]
-            if cap:
-                groups = [(slot, parents[slot >> 1], len(qs) + slot) for slot in range(2 * len(parents))]
-                plan.append((mote_id, generated[mote_id - 1], slots[mote_id - 1], (cap + 1) * (cap + 2) // 2, groups))
-                qs += view.qs[mote_id - 1]
-        self._plan, self._keys, self._top = plan, binomial_keys(qs, top), top
-        self._mote_ids = np.array([mote_id for mote_id, *_ in plan], dtype=np.uint64)
+        self._view, self._slots = view, view.topology.slot_table[:, ids.astype(np.intp)]
+        self.total, self._top = max(1, sum(view.generated)), max(view.most, default=0)
+        if self._top > MAX_MOTE_PACKETS:
+            raise ValueError(f"mote {view.most.index(self._top) + 1} may hold {self._top} packets in one run, "
+                             f"above {MAX_MOTE_PACKETS}")
+        # Every mote that can hold a packet, children before parents; the
+        # tables of its slots follow one another in this order.
+        self._motes = [mote_id for mote_id in range(len(view.most), 0, -1) if view.most[mote_id - 1]]
+        self._keys = binomial_keys([q for mote_id in self._motes for q in view.qs[mote_id - 1]], self._top)
 
     @cached_property
     def _guides(self) -> np.ndarray:
         return binomial_guides(self._keys, self._top)
 
     def simulate_batch(self, rows: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.intp)
-        seeds = np.asarray(seeds, dtype=np.uint64)
-        # every planned mote's 56-bit uniform in every (row, run), plan order
-        uniforms = stream_uint64(seeds, self._mote_ids.reshape((-1,) + (1,) * seeds.ndim))
+        rows, seeds, count = np.asarray(rows), np.asarray(seeds), self._slots.shape[1]
+        if rows.size and (rows.dtype.kind not in "iu" or not 0 <= rows.min() <= rows.max() < count):
+            raise ValueError(f"rows must lie in [0, {count}) and have an integer type")
+        if seeds.size and seeds.dtype.kind not in "iu":
+            raise ValueError("seeds must have an integer type")
+        rows, seeds = rows.astype(np.intp, copy=False), seeds.astype(np.uint64, copy=False)  # signed seeds wrap
+        view, shift, table = self._view, np.uint64(_KEY_SHIFT), 0
+        # every walked mote's 56-bit uniform in every (row, run), children first
+        uniforms = stream_uint64(seeds, np.array(self._motes, dtype=np.uint64).reshape((-1,) + (1,) * seeds.ndim))
         np.right_shift(uniforms, np.uint64(64 - _KEY_SHIFT), out=uniforms)
-        arrivals = np.zeros((self._mote_count + 1,) + seeds.shape, dtype=np.uint64)
-        guides = self._guides if self._row_count * seeds.shape[-1] >= _GUIDED_RUNS else [None] * len(self._keys)
-        shift, tables = np.uint64(_KEY_SHIFT), self._keys
-        for (mote_id, generated, slots, size, groups), mote_uniforms in zip(self._plan, uniforms):
-            keys = ((arrivals[mote_id] + generated) << shift) | mote_uniforms
-            active = slots[rows]
-            for slot, parent, index in groups:
+        arrivals = np.zeros((len(view.most) + 1,) + seeds.shape, dtype=np.uint64)
+        guides = self._guides if count * seeds.shape[-1] >= _GUIDED_RUNS else [None] * len(self._keys)
+        for mote_id, mote_uniforms in zip(self._motes, uniforms):
+            most, parents = view.most[mote_id - 1], view.topology.parents[mote_id - 1]
+            keys = ((arrivals[mote_id] + view.generated[mote_id - 1]) << shift) | mote_uniforms
+            active, size = self._slots[mote_id - 1][rows], (most + 1) * (most + 2) // 2  # keys of k up to most
+            for slot in range(2 * len(parents)):
                 members = np.flatnonzero(active == slot)
                 if len(members):
-                    arrivals[parent, members] += delivered_counts(tables[index, :size], guides[index], keys[members])
-        return (self._generated - arrivals[0]).astype(np.int64)
+                    counts = delivered_counts(self._keys[table + slot, :size], guides[table + slot], keys[members])
+                    arrivals[parents[slot >> 1], members] += counts
+            table += 2 * len(parents)
+        return (sum(view.generated) - arrivals[0]).astype(np.int64)
 
 
 def desk_topology() -> NetworkTopology:

@@ -179,10 +179,10 @@ class TestTrainingWindow:
         assert len(engine.window) == 256
         assert len(engine.window.blocks) == 1  # the first sweep left whole
         # a warm-up cycle verifies every option in id order
-        np.testing.assert_array_equal(rows[:, :-1], features(DESK, engine.env))
+        np.testing.assert_array_equal(rows[:, :-1], features(NetworkView(DESK, engine.env)))
         before, model_before = rows, engine.model
         record = engine.run_cycle()
-        design = features(DESK, engine.env)
+        design = features(NetworkView(DESK, engine.env))
         verified = np.flatnonzero(predict_batch(model_before, design) <= record.bound.cutoff)
         k = record.reduced_size
         assert len(verified) == k < 256
@@ -254,7 +254,7 @@ class TestBoundApplicability:
         model_before = engine.model
         record = engine.run_cycle()
         # the environment the cycle saw is still current; replay its predictions
-        predictions = predict_batch(model_before, features(DESK, engine.env))
+        predictions = predict_batch(model_before, features(NetworkView(DESK, engine.env)))
         survivors = np.flatnonzero(predictions <= record.bound.cutoff)
         assert record.reduced_size == len(survivors)
         assert record.selected_id in survivors

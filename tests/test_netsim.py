@@ -110,13 +110,13 @@ class TestEnumeration:
         assert len(true_expected_loss(NetworkView(DESK, initial_environment(DESK)))) == 256
 
     def test_ids_are_sequential(self):
-        settings = features(DESK, initial_environment(DESK))[:, :8].astype(np.int64)
+        settings = features(NetworkView(DESK, initial_environment(DESK)))[:, :8].astype(np.int64)
         assert (settings @ (1 << np.arange(8))).tolist() == list(range(256))
 
     def test_encoding_is_injective(self):
         for topo in (DESK, FULL):
             width = topo.mote_count + len(topo.split_motes)
-            seen = {tuple(row) for row in features(topo, initial_environment(topo))[:, :width]}
+            seen = {tuple(row) for row in features(NetworkView(topo, initial_environment(topo)))[:, :width]}
             assert len(seen) == topo.option_count
 
     def test_rejects_ids_of_a_non_integer_type(self):
@@ -131,6 +131,26 @@ class TestEnumeration:
             assert np.array_equal(NetworkModel(view, ids).simulate_batch(np.array([0, 1]), seeds), lost)
         NetworkModel(view, [])  # no ids, no type to check
 
+    def test_simulate_batch_rejects_rows_and_seeds_it_would_coerce(self):
+        # a cast would simulate row 1.7 as row 1, row -1 as the last row and seed 0.5 as seed 0
+        model = NetworkModel(NetworkView(DESK, initial_environment(DESK)), [5, 9])
+        seeds = np.stack([seed_stream(6, 50), seed_stream(7, 50)])
+        rows_message = re.escape("rows must lie in [0, 2) and have an integer type")
+        for rows in ([1.7, 0.0], np.array([-1, 0]), np.array([0, 2]), [True, False]):
+            with pytest.raises(ValueError, match=rows_message):
+                model.simulate_batch(rows, seeds)
+        for bad in (np.array([[0.5]]), np.full((2, 3), 7.0)):
+            with pytest.raises(ValueError, match="seeds must have an integer type"):
+                model.simulate_batch(np.arange(len(bad)), bad)
+        lost = model.simulate_batch(np.array([0, 1]), seeds)
+        for rows in (np.array([0, 1], dtype=np.uint8), [0, 1]):
+            assert np.array_equal(model.simulate_batch(rows, seeds), lost)
+        # signed seeds wrap to their two's-complement bits, as mix64 folds them
+        wrapped = np.array([[-1, -2**63]], dtype=np.int64)
+        assert np.array_equal(model.simulate_batch(np.array([1]), wrapped),
+                              model.simulate_batch(np.array([1]), wrapped.astype(np.uint64)))
+        assert model.simulate_batch(np.asarray([]), np.asarray([])).shape == (0,)  # nothing to type-check
+
     def test_rejects_out_of_range_id(self):
         view = NetworkView(DESK, initial_environment(DESK))
         message = re.escape("option ids must lie in [0, 256)")
@@ -144,7 +164,7 @@ class TestEnumeration:
     def test_split_fractions_span_unit_interval(self):
         env = initial_environment(DESK)
         columns = slice(DESK.mote_count, DESK.mote_count + len(DESK.split_motes))
-        fractions = {tuple(row) for row in features(DESK, env)[:, columns]}
+        fractions = {tuple(row) for row in features(NetworkView(DESK, env))[:, columns]}
         assert fractions == {(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)}
 
     def test_id_bits_are_the_settings(self):
@@ -654,7 +674,7 @@ class TestNetworkView:
     def test_zero_traffic_model_has_no_tables(self):
         topo = one_hop_topology(rate=1)
         model = NetworkModel(NetworkView(topo, Environment(interference=(2.0,), load=(0.01,))), [0])
-        assert model._plan == [] and model._guides.shape == (0, 1024)
+        assert model._motes == [] and model._guides.shape == (0, 1024)
 
     def test_warmup_cycle_peak_allocation_is_bounded(self):
         # One model serves the whole warm-up cycle, and the verifier bounds
@@ -762,16 +782,16 @@ class TestEnvironment:
 class TestFeatures:
     def test_dimension_is_constant_and_documented(self):
         env = initial_environment(DESK)
-        assert features(DESK, env).shape == (256, 22)  # 6 powers + 2 splits + 8 interference + 6 loads
-        assert features(DESK, env).dtype == np.float64
-        assert features(FULL, initial_environment(FULL)).shape == (4096, 33)
+        assert features(NetworkView(DESK, env)).shape == (256, 22)  # 6 powers + 2 splits + 8 interference + 6 loads
+        assert features(NetworkView(DESK, env)).dtype == np.float64
+        assert features(NetworkView(FULL, initial_environment(FULL))).shape == (4096, 33)
         # the engine's VC dimension is the feature width plus one
         assert AdaptationEngine(DESK, EngineConfig()).vc_dim == 23
         assert AdaptationEngine(FULL, EngineConfig()).vc_dim == 34
 
     def test_distinct_options_differ(self):
         env = initial_environment(DESK)
-        design = features(DESK, env)
+        design = features(NetworkView(DESK, env))
         assert not np.array_equal(design[10], design[11])
 
     def test_interference_is_local_coordinate(self):
@@ -779,7 +799,7 @@ class TestFeatures:
         bumped_interference = list(env.interference)
         bumped_interference[3] += 0.5
         bumped = Environment(interference=tuple(bumped_interference), load=env.load)
-        rows, columns = np.nonzero(features(DESK, env) != features(DESK, bumped))
+        rows, columns = np.nonzero(features(NetworkView(DESK, env)) != features(NetworkView(DESK, bumped)))
         settings_width = DESK.mote_count + len(DESK.split_motes)
         assert rows.tolist() == list(range(256))
         assert set(columns.tolist()) == {settings_width + 3}
@@ -788,7 +808,7 @@ class TestFeatures:
         walk = EnvironmentWalk()
         for topo in (DESK, FULL):
             env = environment_step(initial_environment(topo), walk, 12)
-            design = features(topo, env)
+            design = features(NetworkView(topo, env))
             width = topo.mote_count + len(topo.split_motes)
             assert design.shape == (topo.option_count, width + topo.link_count + topo.mote_count)
             for i in range(topo.option_count):
@@ -801,7 +821,7 @@ class TestFeatures:
         for topo in (DESK, FULL):
             env = initial_environment(topo)
             slots = topo.slot_table
-            design = features(topo, env)
+            design = features(NetworkView(topo, env))
             powers = design[:, : topo.mote_count].T
             splits = design[:, topo.mote_count : topo.mote_count + len(topo.split_motes)].T
             np.testing.assert_array_equal(powers, slots & 1)
