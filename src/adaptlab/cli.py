@@ -233,7 +233,6 @@ def summarize_records(records: list[CycleRecord], warmup_cycles: int) -> dict:
         "cycles": len(records),
         "warmup_cycles": warmup_cycles,
         "post_warmup_cycles": len(post),
-        "bound_applicable_cycles": len(probs),
         "min_measured_error": min(errors, default=None),
         "max_measured_error": max(errors, default=None),
         "mean_measured_error": mean,

@@ -379,8 +379,7 @@ class NetworkModel:
     and ``delivered_counts`` looks each group's runs up in the slot's table
     (k up to the mote's ``most``): off its guide (all built on first use)
     once the model's rows times a batch's runs per row reach
-    ``_GUIDED_RUNS``, else by the search, with equal counts; 5 options pay
-    back their guides' build at 1 110 runs per row, not at 225. So a count
+    ``_GUIDED_RUNS``, else by the search, with equal counts. So a count
     depends only on its option and seed: a batch over many rows and seeds
     is bit-identical to batches of one row and one seed each.
     """

@@ -263,7 +263,7 @@ def test_criterion_7_end_to_end_bound_validation(capsys, tmp_path):
         "topology": "desk",
         "seed": 20260816,
         "engine": {"warmup_cycles": 30, "total_cycles": 200},
-        "smc": {"epsilon": 0.01, "alpha": 0.1, "kappa_scale": 100.0},
+        "smc": {"epsilon": 0.01, "alpha": 0.1},
     }
     with criterion(capsys, 7, "full adaptation run honours the decision bound") as info:
         replayed_run_within_band(capsys, tmp_path, config, 200, 170, info)

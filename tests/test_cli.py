@@ -198,15 +198,14 @@ class TestRunCommand:
         assert post[2] != "" and post[8] != "" and post[11] in ("true", "false")
         summary = json.loads(capsys.readouterr().out)
         assert list(summary) == [
-            "cycles", "warmup_cycles", "post_warmup_cycles", "bound_applicable_cycles",
+            "cycles", "warmup_cycles", "post_warmup_cycles",
             "min_measured_error", "max_measured_error", "mean_measured_error", "std_measured_error",
             "bound_holds_fraction", "vacuous_bound_cycles", "mean_min_probability",
         ]
         assert summary["cycles"] == 4
-        assert summary["post_warmup_cycles"] == 2
         assert summary["bound_holds_fraction"] is not None
         bounded = [cells for cells in (line.split(",") for line in lines[3:]) if cells[8] != ""]
-        assert summary["bound_applicable_cycles"] == len(bounded) > 0
+        assert summary["post_warmup_cycles"] == len(bounded) == 2
         assert summary["mean_min_probability"] == cli._sig(math.fsum(float(c[9]) for c in bounded) / len(bounded))
 
     @pytest.mark.parametrize("topology", ["desk", "full"])
@@ -495,6 +494,11 @@ class TestRunCommand:
         assert spec.engine.smc == SmcConfig()
         assert spec.walk == EnvironmentWalk()
 
+    def test_readme_column_table_lists_the_csv_columns_in_order(self):
+        text = README.read_text(encoding="utf-8")
+        table = text.split("| column | meaning |\n| --- | --- |\n")[1].split("\n\n")[0]
+        assert [row.split("|")[1].strip().strip("`") for row in table.splitlines()] == list(cli._CSV_COLUMNS)
+
 
 def hand_record(cycle, error_bound=None, *, b_w, b_worst):
     """A cycle record with the given bound (none, as in warm-up, by default) and oracle spread;
@@ -526,7 +530,7 @@ class TestSummary:
     def test_a_run_of_warmup_alone_counts_zero_cycles_and_has_no_statistics(self):
         records = [hand_record(cycle, b_w=1.0, b_worst=2.0) for cycle in (1, 2, 3)]
         summary = cli.summarize_records(records, warmup_cycles=3)
-        counts = ("post_warmup_cycles", "bound_applicable_cycles", "vacuous_bound_cycles")
+        counts = ("post_warmup_cycles", "vacuous_bound_cycles")
         assert {key: summary[key] for key in counts} == dict.fromkeys(counts, 0)
         statistics = ("min_measured_error", "max_measured_error", "mean_measured_error", "std_measured_error",
                       "bound_holds_fraction", "mean_min_probability")

@@ -15,7 +15,6 @@ from adaptlab.engine import (
     _SMC_SEED_SALT,
     LOSS_DOMAIN,
     AdaptationEngine,
-    CycleRecord,
     EngineConfig,
     cutoff,
     run_experiment,
@@ -313,13 +312,6 @@ def perfbench_module(monkeypatch, name):
 
 
 class TestBenchmarkHooks:
-    def test_every_hook_target_exists(self, monkeypatch):
-        """The benchmark's traced run wraps these names; one that a refactor
-        renames would silently drop its layer metrics."""
-        spans = perfbench_module(monkeypatch, "spans")
-        with spans.installed(spans.Tracer()) as tracer:
-            assert tracer.absent == []
-
     def test_every_workload_config_loads(self, monkeypatch, tmp_path):
         """The config loader rejects unknown keys, so every key the benchmark
         writes must stay a config key; the pinned keys of deleted settings
@@ -336,6 +328,10 @@ class TestBenchmarkHooks:
             assert load_experiment_config(str(unpinned)) == loaded, workload
 
     def test_traced_desk_run_fills_every_counter(self, monkeypatch):
+        """The benchmark's traced run wraps the names in ``spans.HOOKS`` and
+        drops the layer metrics of one it cannot find. Every hook must be
+        found and called here, so a renamed, missing or non-callable target
+        fails this test instead."""
         spans = perfbench_module(monkeypatch, "spans")
         config = quick_config(warmup_cycles=2, total_cycles=4, smc=SmcConfig(epsilon=0.05, alpha=0.1))
         rows = 0
@@ -345,6 +341,8 @@ class TestBenchmarkHooks:
                 engine.run_cycle()
                 rows += len(engine.window)
         assert tracer.absent == []
+        totals = tracer.totals()
+        assert [name for name, *_ in spans.HOOKS if not totals[name][0]] == []
         for counter in ("smc.estimates", "smc.samples", "netsim.sim_runs", "seeds.draws", "regression.window"):
             assert tracer.counts[counter] > 0, counter
         # ``regression.window_mean`` reads rows per fit from the length of fit's first argument
